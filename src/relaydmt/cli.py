@@ -53,10 +53,11 @@ def _parse_grid(text: str) -> list:
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 12))
-            v += step
+        i = 0
+        # start + i*step, not a running sum, so long grids do not drift
+        while start + i * step <= stop + 1e-9:
+            values.append(round(start + i * step, 12))
+            i += 1
         return values
     return [float(p) for p in text.split(",") if p.strip()]
 
@@ -81,6 +82,12 @@ def _emit(cfg: RunConfig, text: str) -> None:
         _write_atomic(cfg.output_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _summary(cfg: RunConfig, line: str) -> None:
+    """Print a human summary line; it goes to stderr when the machine output
+    takes stdout, so that stdout stays parseable."""
+    print(line, file=sys.stdout if cfg.output_path else sys.stderr)
 
 
 def _curves_to_json(curves) -> str:
@@ -142,7 +149,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         text = "\n".join(rows)
     _emit(cfg, text)
     for pair, gap in gaps.items():
-        print(f"max gap {pair}: {gap:.6g}")
+        _summary(cfg, f"max gap {pair}: {gap:.6g}")
     return EXIT_OK
 
 
@@ -189,9 +196,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             )
         text = "\n".join(rows)
     _emit(cfg, text)
-    print(
+    _summary(
+        cfg,
         f"fitted slope {fit.slope:.4f} (stderr {fit.stderr:.4f}), "
-        f"analytic d {analytic:.4f}"
+        f"analytic d {analytic:.4f}",
     )
     return EXIT_OK
 

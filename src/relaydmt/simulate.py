@@ -65,7 +65,7 @@ class OutageEstimate:
     r: float
     p_out: float
     n_samples: int
-    ci_half_width: float
+    ci_half_width: float  # half-length of the 95% Wilson score interval
 
 
 @dataclass(frozen=True)
@@ -271,10 +271,24 @@ def outage_probability(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             total = sum(pool.map(count_block, blocks))
     p_out = total / n_samples
-    ci = 1.96 * math.sqrt(max(p_out * (1.0 - p_out), 0.0) / n_samples)
     return OutageEstimate(
-        rho=rho, r=r, p_out=p_out, n_samples=n_samples, ci_half_width=ci
+        rho=rho,
+        r=r,
+        p_out=p_out,
+        n_samples=n_samples,
+        ci_half_width=_wilson_half_width(p_out, n_samples),
     )
+
+
+def _wilson_half_width(p: float, n: int) -> float:
+    """Half-length of the 95% Wilson score interval for a binomial
+    proportion p observed over n trials (Wilson, JASA 22, 1927).
+
+    Unlike the Wald interval it stays positive at zero or n events.
+    """
+    z = 1.96
+    z2n = z * z / n
+    return z / (1.0 + z2n) * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
 
 
 _RELIABILITY_FLOOR = 20.0

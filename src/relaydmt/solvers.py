@@ -1,11 +1,12 @@
 """Tradeoff solvers.
 
-The production path reduces the exponent minimisation to two scalar levels
-(direct-link level ``a`` and source-relay level ``b``) and minimises over the
-feasible box with a dense grid pass followed by derivative-free local
-refinement.  A brute-force grid oracle over the full exponent vectors
-cross-checks it on small configurations, and the closed forms known for
-special antenna arrangements are provided with their domain logic.
+The production path reduces the exponent minimisation to the aggregate
+levels (a, b, s) of the three links on the rate surface and solves it
+exactly, by scoring every vertex where two kink planes of the piecewise
+linear objective cross that surface.  A brute-force grid oracle over the
+full exponent vectors cross-checks it on small configurations, and the
+closed forms known for special antenna arrangements are provided with their
+domain logic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,6 +35,8 @@ from .core import (
 )
 
 _TOL = 1e-9
+# slack for float dust on a computed vertex before it is tested against the caps
+_ROOT_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -60,7 +64,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar and vectorised evaluation of the reduced objective
+# exact two-level solver: vectorised objective and vertex enumeration
 
 
 def _profile_rows(levels: np.ndarray, length: int) -> np.ndarray:
@@ -83,253 +87,112 @@ def _objective_rows(config: AntennaConfig, pa, pb, pd) -> np.ndarray:
     return total
 
 
-class _TwoVarObjective:
-    """Scalar objective over normalised coordinates (a, t) with t in [0, 1]
-    spanning the feasible b interval at each a.  Counts evaluations."""
-
-    def __init__(self, config: AntennaConfig, r: float):
-        self.config = config
-        self.r = r
-        self.coeffs = _coeffs(config)
-        self.evaluations = 0
-
-    def levels(self, a: float, t: float):
-        c, r = self.config, self.r
-        b_cap = min(float(c.p), c.m - a)
-        s_cap = min(float(c.q), c.n - a)
-        rest = r - a
-        if rest <= 1e-15:
-            # no rate left for the relay path: the feasible set degenerates to
-            # the two axis segments b = 0 or s = 0, swept back to back
-            if t <= 0.5:
-                return a, 0.0, (1.0 - 2.0 * t) * s_cap
-            return a, (2.0 * t - 1.0) * b_cap, 0.0
-        slack = s_cap - rest  # positive inside the level range, float dust aside
-        b_lo = b_cap if slack <= 0.0 else min(s_cap * rest / slack, b_cap)
-        b = b_lo + t * (b_cap - b_lo)
-        denom = b - rest
-        s = s_cap if denom <= 0.0 else min(b * rest / denom, s_cap)
-        return a, b, s
-
-    def value(self, a: float, b: float, s: float) -> float:
-        self.evaluations += 1
-        c = self.config
-        obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = self.coeffs
-        pa = exponent_profile(min(a, c.u), c.u)
-        pb = exponent_profile(min(b, c.p), c.p)
-        pd = exponent_profile(min(s, c.q), c.q)
-        total = -2.0 * c.k * c.u
-        for cf, x in zip(obj_alpha, pa):
-            total += cf * x
-        for cf, x in zip(w_beta, pb):
-            total += cf * x
-        for cf, x in zip(w_delta, pd):
-            total += cf * x
-        for i, j in ab_pairs:
-            total += _pos(1.0 - pa[i] - pb[j])
-        for i, l in ad_pairs:
-            total += _pos(1.0 - pa[i] - pd[l])
-        return total
-
-    def __call__(self, a: float, t: float) -> float:
-        a, b, s = self.levels(a, t)
-        return self.value(a, b, s)
+# kink planes n . (a, b, s) = c of the reduced objective, one row of n per
+# family: the integer levels of each link, and the diagonals a + b and a + s
+# that carry the cross terms.  The caps b = p, s = q, a + b = m and a + s = n
+# belong to these families.
+_KINK_NORMALS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1]], dtype=float
+)
 
 
-def _golden(fun, lo: float, hi: float, iters: int = 40):
-    """Shrinking-interval minimisation on [lo, hi]; endpoint-aware."""
-    lo0, hi0 = lo, hi
-    if hi - lo <= 1e-15:
-        x = 0.5 * (lo + hi)
-        return x, fun(x)
-    f_lo, f_hi = fun(lo0), fun(hi0)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = fun(x2)
-    best = min([(f1, x1), (f2, x2), (f_lo, lo0), (f_hi, hi0)])
-    return best[1], best[0]
+@lru_cache(maxsize=None)
+def _kink_lines(config: AntennaConfig):
+    """Point and direction of every line where two kink planes cross.
 
-
-def _refine_two_var(obj, a0, t0, a_lo, a_hi, cell_a, cell_t, sweeps=8):
-    """Coordinate golden-section around (a0, t0), then a compass polish that
-    also probes diagonal moves (the objective kinks need not be axis-aligned).
+    Depends on the configuration only; the rows are read-only because the
+    cache hands the same arrays to every solve.
     """
-    a, t = a0, t0
-    f = obj(a, t)
-    for _ in range(sweeps):
-        a_new, f_a = _golden(
-            lambda x: obj(x, t), max(a - cell_a, a_lo), min(a + cell_a, a_hi)
-        )
-        if f_a < f:
-            a, f = a_new, f_a
-        t_new, f_t = _golden(
-            lambda y: obj(a, y), max(t - cell_t, 0.0), min(t + cell_t, 1.0)
-        )
-        if f_t < f:
-            t, f = t_new, f_t
-        else:
-            break
-    h_a, h_t = cell_a, cell_t
-    while h_a > 1e-11 or h_t > 1e-11:
-        moved = False
-        for da, dt in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            a_c = min(max(a + da * h_a, a_lo), a_hi)
-            t_c = min(max(t + dt * h_t, 0.0), 1.0)
-            f_c = obj(a_c, t_c)
-            if f_c < f - 1e-15:
-                a, t, f = a_c, t_c, f_c
-                moved = True
-        if not moved:
-            h_a *= 0.5
-            h_t *= 0.5
-    return a, t, f
+    tops = (config.u, config.p, config.q, config.m, config.n)
+    family = np.repeat(np.arange(len(tops)), [top + 1 for top in tops])
+    level = np.concatenate([np.arange(top + 1.0) for top in tops])
+    i, j = np.triu_indices(len(family), 1)
+    crossing = family[i] != family[j]  # planes of one family are parallel
+    i, j = i[crossing], j[crossing]
+    n1, n2 = _KINK_NORMALS[family[i]], _KINK_NORMALS[family[j]]
+    directions = np.cross(n1, n2)
+    points = (
+        level[i, None] * np.cross(n2, directions)
+        + level[j, None] * np.cross(directions, n1)
+    ) / (directions * directions).sum(axis=1, keepdims=True)
+    points.setflags(write=False)
+    directions.setflags(write=False)
+    return points, directions
 
 
-def _pinned_level_candidates(obj, config, r, a_lo, a_hi, n_grid=241):
-    """Minimise along 1-D slices where one hop level is pinned.
+def _surface_crossings(r: float, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Where each line x0 + t d meets the rate surface (r - a)(b + s) = b s.
 
-    Kink minima sit where a hop level equals an integer or runs at its cap;
-    each such pin leaves a single free variable a, handled by a masked grid
-    plus golden refinement.
+    The surface equation is a quadratic in t; lines on which it vanishes
+    identically (the a = r axes and the spurious b = s = 0 line) and lines
+    that miss the surface give no point.  Returns the crossings as rows.
     """
-    a_grid = np.linspace(a_lo, a_hi, n_grid) if a_hi > a_lo else np.array([a_lo])
-    cell = (a_hi - a_lo) / (len(a_grid) - 1) if len(a_grid) > 1 else 1e-6
-    out = []
-
-    def levels_for(kind, pin, a):
-        b_cap = min(float(config.p), config.m - a)
-        s_cap = min(float(config.q), config.n - a)
-        rest = r - a
-        if rest <= 1e-15:
-            if kind == "b":
-                return (a, pin, 0.0) if pin <= b_cap + 1e-12 else None
-            return (a, 0.0, pin) if pin <= s_cap + 1e-12 else None
-        slack = s_cap - rest
-        b_lo = b_cap if slack <= 0.0 else min(s_cap * rest / slack, b_cap)
-        if kind == "b":
-            if not (b_lo - 1e-12 <= pin <= b_cap + 1e-12):
-                return None
-            b = min(max(pin, b_lo), b_cap)
-            denom = b - rest
-            s = s_cap if denom <= 0.0 else min(b * rest / denom, s_cap)
-            return (a, b, s)
-        if pin <= rest + 1e-15:
-            return None
-        b = pin * rest / (pin - rest)
-        if not (-1e-12 <= b <= b_cap + 1e-12):
-            return None
-        return (a, min(max(b, 0.0), b_cap), min(pin, s_cap))
-
-    pins = [("b", float(L)) for L in range(config.p + 1)]
-    pins += [("s", float(L)) for L in range(config.q + 1)]
-    for kind, pin in pins:
-        scored = []
-        for a in a_grid:
-            lv = levels_for(kind, pin, float(a))
-            if lv is not None:
-                scored.append((obj.value(*lv), float(a)))
-        if not scored:
-            continue
-        f0, a0 = min(scored)
-
-        def along(a, _kind=kind, _pin=pin):
-            lv = levels_for(_kind, _pin, a)
-            return obj.value(*lv) if lv is not None else math.inf
-
-        a_best, f_best = _golden(along, max(a0 - cell, a_lo), min(a0 + cell, a_hi))
-        f, a = min((f_best, a_best), (f0, a0))
-        lv = levels_for(kind, pin, a)
-        if lv is not None:
-            out.append((f, *lv))
-    return out
+    a0, b0, s0 = points.T
+    da, db, ds = directions.T
+    rest = r - a0
+    qa = -da * (db + ds) - db * ds
+    qb = rest * (db + ds) - da * (b0 + s0) - b0 * ds - db * s0
+    qc = rest * (b0 + s0) - b0 * s0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cancellation-free roots; NaN or inf marks a missing one
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        quadratic = qa != 0.0
+        t1 = np.where(quadratic, q / qa, -qc / qb)
+        t2 = np.where(quadratic, qc / q, np.nan)
+    t = np.concatenate([t1, t2])
+    found = np.isfinite(t)
+    line = np.tile(np.arange(len(points)), 2)[found]
+    return points[line] + t[found, None] * directions[line]
 
 
-def solve_two_var(
-    config: AntennaConfig,
-    r: float,
-    *,
-    grid_step: float = 0.01,
-    starts: int = 8,
-) -> SolveResult:
+def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
     """Diversity order at multiplexing gain r via the two-level reduction.
 
-    A dense (a, b) grid locates the basin, then coordinate golden-section and
-    a compass polish push each of the best ``starts`` cells to ~1e-11 axis
-    resolution.  Ties within 1e-9 resolve to the smallest a, then smallest b.
+    The reduced objective is piecewise linear in the levels (a, b, s), with
+    kinks on the planes a, b, s, a + b, a + s = integer, and decreases in
+    every level, so the minimum lies on the rate surface (r - a)(b + s) = b s.
+    On that surface the objective is concave inside every linear cell, hence
+    the minimum sits at a vertex: a point where two kink planes cross the
+    surface, or an end of the a = r axis segments (r, 0, s_cap) and
+    (r, b_cap, 0).  All vertices inside the level caps are scored at once;
+    ``evaluations`` counts them.  Ties within 1e-9 resolve to the smallest a,
+    then the smallest b.
     """
     top = float(config.max_mux)
     if r < -_TOL or r > top + _TOL:
         raise DomainError(f"r={r} outside [0, {top}]")
     r = min(max(r, 0.0), top)
     a_lo, a_hi = direct_level_range(config, r)
-    obj = _TwoVarObjective(config, r)
+    m, n, p, q = config.m, config.n, float(config.p), float(config.q)
 
-    n_a = max(2, int(math.ceil((a_hi - a_lo) / grid_step)) + 1) if a_hi > a_lo else 1
-    n_t = max(2, int(math.ceil(config.p / grid_step)) + 1)
-    a_grid = np.linspace(a_lo, a_hi, n_a)
-    t_grid = np.linspace(0.0, 1.0, n_t)
-
-    b_cap = np.minimum(float(config.p), config.m - a_grid)
-    s_cap = np.minimum(float(config.q), config.n - a_grid)
-    rest = r - a_grid
-    live = rest > 1e-15
-    b_lo = np.zeros_like(a_grid)
-    slack = np.maximum(s_cap[live] - rest[live], 1e-300)
-    b_lo[live] = np.minimum(s_cap[live] * rest[live] / slack, b_cap[live])
-    aa = np.repeat(a_grid, n_t)
-    tt = np.tile(t_grid, n_a)
-    bb = np.repeat(b_lo, n_t) + tt * np.repeat(b_cap - b_lo, n_t)
-    rr = np.repeat(rest, n_t)
-    caps_b = np.repeat(b_cap, n_t)
-    caps_s = np.repeat(s_cap, n_t)
-    ss = np.zeros_like(bb)
-    mask = rr > 1e-15
-    denom = bb[mask] - rr[mask]
-    ss[mask] = np.where(denom <= 0.0, np.inf, bb[mask] * rr[mask] / np.maximum(denom, 1e-300))
-    ss = np.minimum(ss, caps_s)
-    # degenerate rows sweep the two axis segments back to back
-    deg = ~mask
-    bb[deg] = np.where(tt[deg] > 0.5, (2.0 * tt[deg] - 1.0) * caps_b[deg], 0.0)
-    ss[deg] = np.where(tt[deg] <= 0.5, (1.0 - 2.0 * tt[deg]) * caps_s[deg], 0.0)
+    a, b, s = _surface_crossings(r, *_kink_lines(config)).T
+    b_cap = np.minimum(p, m - a)
+    s_cap = np.minimum(q, n - a)
+    inside = (
+        (a >= a_lo - _ROOT_TOL)
+        & (a <= a_hi + _ROOT_TOL)
+        & (b >= -_ROOT_TOL)
+        & (b <= b_cap + _ROOT_TOL)
+        & (s >= -_ROOT_TOL)
+        & (s <= s_cap + _ROOT_TOL)
+        & (b + s > _ROOT_TOL)
+    )
+    a = np.append(a[inside], [r, r])
+    b = np.append(np.clip(b[inside], 0.0, b_cap[inside]), [0.0, min(p, m - r)])
+    s = np.append(np.clip(s[inside], 0.0, s_cap[inside]), [min(q, n - r), 0.0])
     values = _objective_rows(
         config,
-        _profile_rows(aa, config.u),
-        _profile_rows(bb, config.p),
-        _profile_rows(ss, config.q),
+        _profile_rows(a, config.u),
+        _profile_rows(b, config.p),
+        _profile_rows(s, config.q),
     )
-    obj.evaluations += values.size
-
-    order = np.lexsort((bb, aa, values))
-    cell_a = (a_hi - a_lo) / (n_a - 1) if n_a > 1 else max(grid_step, 1e-6)
-    cell_t = 1.0 / (n_t - 1)
-    candidates = []
-    for idx in order[: max(1, starts)]:
-        a0 = float(aa[idx])
-        t0 = float(tt[idx])
-        a, t, f = _refine_two_var(obj, a0, t0, a_lo, a_hi, cell_a, cell_t)
-        _, b, s = obj.levels(a, t)
-        candidates.append((f, a, b, s))
-    candidates.extend(_pinned_level_candidates(obj, config, r, a_lo, a_hi))
-
-    d_min = min(f for f, *_ in candidates)
-    best = min(
-        (c for c in candidates if c[0] <= d_min + 1e-9), key=lambda c: (c[1], c[2])
-    )
-    f, a, b, s = best
+    near = np.flatnonzero(values <= values.min() + 1e-9)
+    best = near[np.lexsort((b[near], a[near]))[0]]
     return SolveResult(
-        d=max(f, 0.0),
-        argmin=LevelTriple(a=a, b=b, s=s),
+        d=max(float(values[best]), 0.0),
+        argmin=LevelTriple(a=float(a[best]), b=float(b[best]), s=float(s[best])),
         method="two-var",
-        evaluations=obj.evaluations,
+        evaluations=int(values.size),
     )
 
 
@@ -524,6 +387,29 @@ def dmt_symmetric_upper(n: int, k: int, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # static (n, 1, n) solver
+
+
+def _golden(fun, lo: float, hi: float, iters: int = 40):
+    """Shrinking-interval minimisation on [lo, hi]; endpoint-aware."""
+    lo0, hi0 = lo, hi
+    if hi - lo <= 1e-15:
+        x = 0.5 * (lo + hi)
+        return x, fun(x)
+    f_lo, f_hi = fun(lo0), fun(hi0)
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = fun(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = fun(x2)
+    best = min([(f1, x1), (f2, x2), (f_lo, lo0), (f_hi, hi0)])
+    return best[1], best[0]
 
 
 def _static_value(n: int, alpha, beta: float) -> float:

@@ -122,7 +122,7 @@ def check_closed_forms(fault: Optional[str] = None) -> str:
         c = AntennaConfig(n, 1, n)
         for r in np.linspace(0, n, 11):
             worst = max(worst, abs(solve_two_var(c, float(r)).d - dmt_n1n(n, float(r))))
-    _expect(worst <= 1e-3, f"solver strayed {worst:.2e} from a closed form")
+    _expect(worst <= 1e-9, f"solver strayed {worst:.2e} from a closed form")
     return f"max closed-form gap {worst:.2e}"
 
 
@@ -144,7 +144,7 @@ def check_reciprocity(fault: Optional[str] = None) -> str:
                 worst,
                 abs(solve_two_var(c, float(r)).d - solve_two_var(c.swapped(), float(r)).d),
             )
-    _expect(worst <= 1e-6, f"reciprocity broken by {worst:.2e}")
+    _expect(worst <= 1e-9, f"reciprocity broken by {worst:.2e}")
     return f"max reciprocity gap {worst:.2e}"
 
 
@@ -156,7 +156,7 @@ def check_sandwich(fault: Optional[str] = None) -> str:
             lo = ptp_dmt(c.m, c.n, float(r))
             hi = fd_dmt(c, float(r))
             _expect(
-                lo - 1e-6 <= hd <= hi + 1e-6,
+                lo - 1e-9 <= hd <= hi + 1e-9,
                 f"sandwich broken at {mkn}, r={r}: {lo} / {hd} / {hi}",
             )
     return "single-link <= relay <= pooled-antenna everywhere"
@@ -179,7 +179,7 @@ def check_symmetric_upper_dominates(fault: Optional[str] = None) -> str:
         for r in np.linspace(0, n, 9):
             ub = dmt_symmetric_upper(n, k, float(r))
             d = solve_two_var(c, float(r)).d
-            _expect(ub >= d - 1e-3, f"bound {ub} below solver {d} at ({n},{k})")
+            _expect(ub >= d - 1e-9, f"bound {ub} below solver {d} at ({n},{k})")
     return "pinned-level bound dominates the solver"
 
 

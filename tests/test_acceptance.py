@@ -58,8 +58,8 @@ def test_c01_closed_form_1k1():
     elapsed_ok = time.time() - t0 < 10.0
     report(
         "C01 (1,k,1) closed form",
-        corner_err <= 1e-12 and solver_err <= 1e-3 and elapsed_ok,
-        f"corner err {corner_err:.1e}, solver gap {solver_err:.1e} (tol 1e-3), <10s",
+        corner_err <= 1e-12 and solver_err <= 1e-9 and elapsed_ok,
+        f"corner err {corner_err:.1e}, solver gap {solver_err:.1e} (tol 1e-9), <10s",
         t0,
     )
 
@@ -79,8 +79,8 @@ def test_c02_closed_form_n1n():
     elapsed_ok = time.time() - t0 < 30.0
     report(
         "C02 (n,1,n) closed form",
-        corner_err == 0.0 and solver_err <= 1e-3 and elapsed_ok,
-        f"corner err {corner_err:.1e}, solver gap {solver_err:.1e} (tol 1e-3), <30s",
+        corner_err == 0.0 and solver_err <= 1e-9 and elapsed_ok,
+        f"corner err {corner_err:.1e}, solver gap {solver_err:.1e} (tol 1e-9), <30s",
         t0,
     )
 
@@ -117,8 +117,8 @@ def test_c04_reciprocity():
     elapsed_ok = time.time() - t0 < 20.0
     report(
         "C04 reciprocity",
-        gap <= 1e-6 and elapsed_ok,
-        f"max gap {gap:.1e} (tol 1e-6), <20s",
+        gap <= 1e-9 and elapsed_ok,
+        f"max gap {gap:.1e} (tol 1e-9), <20s",
         t0,
     )
 
@@ -137,8 +137,8 @@ def test_c05_sandwich():
             )
     report(
         "C05 sandwich bounds",
-        violation <= 1e-6,
-        f"max violation {violation:.1e} (slack 1e-6)",
+        violation <= 1e-9,
+        f"max violation {violation:.1e} (slack 1e-9)",
         t0,
     )
 
@@ -175,8 +175,8 @@ def test_c07_symmetric_upper_bound():
     tightness = "tight" if soft <= 1e-2 else "NOT tight"
     report(
         "C07 symmetric upper bound",
-        hard <= 1e-3,
-        f"max bound deficit {hard:.1e} (tol 1e-3); "
+        hard <= 1e-9,
+        f"max bound deficit {hard:.1e} (tol 1e-9); "
         f"soft: max |gap| {soft:.1e} => conjectured equality {tightness}",
         t0,
     )

@@ -24,6 +24,13 @@ def test_parse_grid_forms():
         _parse_grid("0:1:-0.5")
 
 
+def test_parse_grid_long_grid_does_not_drift():
+    grid = _parse_grid("0:100:0.01")
+    assert len(grid) == 10_001
+    assert grid[-1] == 100.0
+    assert grid[5000] == 50.0
+
+
 def test_curve_json_schema(tmp_path):
     out = tmp_path / "curves.json"
     code = main(
@@ -117,6 +124,20 @@ def test_compare_reports_gaps(tmp_path, capsys):
     assert "max gap" in capsys.readouterr().out
 
 
+def test_compare_stdout_is_pure_json(capsys):
+    code = main(
+        [
+            "compare", "--m", "1", "--k", "1", "--n", "1",
+            "--variants", "hd-dynamic,fd", "--r", "0:1:0.5",
+        ]
+    )
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert set(record) == {"config", "r_grid", "values", "max_gaps"}
+    assert "max gap" in captured.err
+
+
 def test_compare_identical_variant_gap_zero(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(
@@ -154,6 +175,19 @@ def test_simulate_json_and_reproducibility(tmp_path):
     ]
     assert set(rec1) == {"config", "r", "seed", "estimates", "slope", "analytic_d"}
     assert rec1["analytic_d"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_simulate_stdout_is_pure_json(capsys):
+    code = main(
+        [
+            "simulate", "--m", "1", "--k", "1", "--n", "1", "--r", "0.5",
+            "--snr-db", "10:20:5", "--samples", "20000", "--seed", "7",
+        ]
+    )
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["analytic_d"] == pytest.approx(1.0, abs=1e-9)
+    assert "fitted slope" in captured.err
 
 
 def test_simulate_rejects_degenerate_rate():

@@ -224,9 +224,19 @@ def test_outage_reproducible_and_worker_invariant():
     a = outage_probability(c, 100.0, 0.5, 20_000, seed=7, workers=1)
     b = outage_probability(c, 100.0, 0.5, 20_000, seed=7, workers=3)
     assert a.p_out == b.p_out
-    assert a.ci_half_width == pytest.approx(
-        1.96 * math.sqrt(a.p_out * (1 - a.p_out) / a.n_samples)
-    )
+    # Wilson score interval: half-length from its two explicit endpoints
+    n, p, z = a.n_samples, a.p_out, 1.96
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    spread = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    lo, hi = centre - spread, centre + spread
+    assert a.ci_half_width == pytest.approx((hi - lo) / 2)
+
+
+def test_outage_interval_positive_with_zero_events():
+    est = outage_probability(AntennaConfig(2, 2, 2), 10.0**3.5, 1.0, 2000, seed=0)
+    assert est.p_out == 0.0
+    # no events still leaves the rule of three's order of uncertainty
+    assert 0.0 < est.ci_half_width < 3.0 / 2000
 
 
 def test_outage_matches_per_sample_oracle():

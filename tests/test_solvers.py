@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydmt import (
     AntennaConfig,
     ConfigurationError,
     DomainError,
+    direct_level_range,
     diversity_objective,
     exponent_profile,
     fd_dmt,
@@ -125,7 +128,7 @@ def test_solve_two_var_matches_1k1_closed_form():
         c = AntennaConfig(1, k, 1)
         for r in np.linspace(0, 1, 21):
             assert solve_two_var(c, float(r)).d == pytest.approx(
-                dmt_1k1(k, float(r)), abs=1e-3
+                dmt_1k1(k, float(r)), abs=1e-9
             )
 
 
@@ -134,7 +137,7 @@ def test_solve_two_var_matches_n1n_closed_form():
         c = AntennaConfig(n, 1, n)
         for r in np.linspace(0, n, 21):
             assert solve_two_var(c, float(r)).d == pytest.approx(
-                dmt_n1n(n, float(r)), abs=1e-3
+                dmt_n1n(n, float(r)), abs=1e-9
             )
 
 
@@ -143,7 +146,7 @@ def test_solve_two_var_reciprocity():
         c = AntennaConfig(*mkn)
         for r in np.linspace(0, c.max_mux, 9):
             assert solve_two_var(c, float(r)).d == pytest.approx(
-                solve_two_var(c.swapped(), float(r)).d, abs=1e-6
+                solve_two_var(c.swapped(), float(r)).d, abs=1e-9
             )
 
 
@@ -152,8 +155,8 @@ def test_solve_two_var_sandwiched_between_ptp_and_fd():
         c = AntennaConfig(*mkn)
         for r in np.linspace(0, c.max_mux, 11):
             hd = solve_two_var(c, float(r)).d
-            assert hd >= ptp_dmt(c.m, c.n, float(r)) - 1e-6
-            assert hd <= fd_dmt(c, float(r)) + 1e-6
+            assert hd >= ptp_dmt(c.m, c.n, float(r)) - 1e-9
+            assert hd <= fd_dmt(c, float(r)) + 1e-9
 
 
 def test_solve_two_var_monotone_and_zero_at_max():
@@ -162,6 +165,37 @@ def test_solve_two_var_monotone_and_zero_at_max():
         values = [solve_two_var(c, float(r)).d for r in np.linspace(0, c.max_mux, 15)]
         assert values[-1] == pytest.approx(0.0, abs=1e-9)
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    mkn=st.tuples(*[st.integers(1, 4)] * 3),
+    fracs=st.tuples(*[st.floats(0.0, 1.0)] * 2),
+)
+def test_solve_two_var_properties(mkn, fracs):
+    c = AntennaConfig(*mkn)
+    r, r_hi = sorted(f * c.max_mux for f in fracs)
+    res = solve_two_var(c, r)
+    a, b, s = res.argmin.a, res.argmin.b, res.argmin.s
+
+    # the argmin sits on the rate surface, inside the level caps
+    a_lo, a_hi = direct_level_range(c, r)
+    assert a_lo - 1e-9 <= a <= a_hi + 1e-9
+    assert -1e-9 <= b <= min(c.p, c.m - a) + 1e-9
+    assert -1e-9 <= s <= min(c.q, c.n - a) + 1e-9
+    relay = b * s / (b + s) if b + s > 0.0 else 0.0
+    assert a + relay == pytest.approx(r, abs=1e-9)
+    t = ExponentTriple(
+        exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)
+    )
+    assert max(diversity_objective(c, t), 0.0) == pytest.approx(res.d, abs=1e-9)
+
+    assert res.d == pytest.approx(solve_two_var(c.swapped(), r).d, abs=1e-9)
+    assert solve_two_var(c, r_hi).d <= res.d + 1e-9
+    assert ptp_dmt(c.m, c.n, r) - 1e-9 <= res.d <= fd_dmt(c, r) + 1e-9
+    if c.u + c.p + c.q <= 6:
+        # the oracle scores a feasible grid subset, so it can only sit above
+        assert res.d <= solve_general_grid(c, r, 0.05).d + 1e-9
 
 
 def test_solve_two_var_domain_error():
@@ -233,7 +267,7 @@ def test_symmetric_upper_dominates_solver():
         c = AntennaConfig(n, k, n)
         for r in np.linspace(0, n, 9):
             ub = dmt_symmetric_upper(n, k, float(r))
-            assert ub >= solve_two_var(c, float(r)).d - 1e-3
+            assert ub >= solve_two_var(c, float(r)).d - 1e-9
 
 
 def test_symmetric_upper_domain_error():
