@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr-db", default="15:35:5", dest="snr_db")
     p_sim.add_argument("--samples", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="positive integer; changes neither results nor speed")
 
     p_ver = sub.add_parser("verify", help="run the cross-check battery")
     p_ver.add_argument("--conjectures", action="store_true",

@@ -27,7 +27,6 @@ from .core import (
     DomainError,
     ExponentTriple,
     _coeffs,
-    _pos,
     direct_level_range,
     exponent_profile,
     fd_dmt,
@@ -37,7 +36,6 @@ from .core import (
 _TOL = 1e-9
 # slack for float dust on a computed vertex before it is tested against the caps
 _ROOT_TOL = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class SolverRefusal(RuntimeError):
@@ -318,10 +316,8 @@ def dmt_ddf_1k1(k: int, r: float) -> float:
     if r < -_TOL or r > 1.0 + _TOL:
         raise DomainError(f"r={r} outside [0, 1]")
     r = min(max(r, 0.0), 1.0)
-    if r <= 1.0 / (k + 1):
-        return (k + 1) * (1.0 - r)
     if r <= 0.5:
-        return 1.0 + k * (1.0 - 2.0 * r) / (1.0 - r)
+        return dmt_1k1(k, r)
     return (1.0 - r) / r
 
 
@@ -389,127 +385,46 @@ def dmt_symmetric_upper(n: int, k: int, r: float) -> float:
 # static (n, 1, n) solver
 
 
-def _golden(fun, lo: float, hi: float, iters: int = 40):
-    """Shrinking-interval minimisation on [lo, hi]; endpoint-aware."""
-    lo0, hi0 = lo, hi
-    if hi - lo <= 1e-15:
-        x = 0.5 * (lo + hi)
-        return x, fun(x)
-    f_lo, f_hi = fun(lo0), fun(hi0)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = fun(x2)
-    best = min([(f1, x1), (f2, x2), (f_lo, lo0), (f_hi, hi0)])
-    return best[1], best[0]
-
-
-def _static_value(n: int, alpha, beta: float) -> float:
-    total = n * beta - n
-    for i, x in enumerate(alpha):
-        total += (2 * n - 2 * i) * x
-    for x in alpha[: n - 1]:
-        total += _pos(1.0 - beta - x)
-    return total
-
-
-def _static_refine(n, r, alpha, beta, cell, sweeps=8):
-    alpha = list(alpha)
-    value = _static_value(n, alpha, beta)
-    for _ in range(sweeps):
-        improved = False
-        for i in range(n):
-            slack = r - 0.5 * (1.0 - beta)
-            for j in range(n):
-                if j != i:
-                    slack -= 1.0 - alpha[j]
-            lo = max(alpha[i - 1] if i > 0 else 0.0, 1.0 - slack)
-            if i == n - 1:
-                lo = max(lo, 1.0 - beta)
-            hi = min(alpha[i + 1] if i < n - 1 else 1.0, 1.0)
-            lo = min(max(lo, max(alpha[i] - cell, 0.0)), alpha[i])
-            hi = max(min(hi, alpha[i] + cell), alpha[i])
-            if hi <= lo:
-                continue
-
-            def along(x, idx=i):
-                trial = alpha.copy()
-                trial[idx] = x
-                return _static_value(n, trial, beta)
-
-            x, fx = _golden(along, lo, hi)
-            if fx < value - 1e-15:
-                alpha[i], value = x, fx
-                improved = True
-        used = sum(1.0 - x for x in alpha)
-        lo = max(0.0, 1.0 - alpha[n - 1], 1.0 - 2.0 * (r - used), beta - cell)
-        hi = min(1.0, beta + cell)
-        if hi > lo:
-            x, fx = _golden(lambda y: _static_value(n, alpha, y), lo, hi)
-            if fx < value - 1e-15:
-                beta, value = x, fx
-                improved = True
-        if not improved:
-            break
-    return alpha, beta, value
-
-
-def solve_static_n1n(n: int, r: float, *, grid_step: float = 0.05, starts: int = 5) -> SolveResult:
+def solve_static_n1n(n: int, r: float) -> SolveResult:
     """Tradeoff of the (n, 1, n) channel under a fixed half-time relay
-    schedule, by grid search plus coordinate refinement over the n direct
-    exponents and the single in-hop exponent."""
+    schedule, minimised exactly over the n direct exponents alpha and the
+    single in-hop exponent beta.
+
+    For a fixed direct deficit a = sum(1 - alpha_i) the cheapest alpha is
+    the profile of a: the unit cost of alpha_i lies in [2n-2i-1, 2n-2i], and
+    these ranges are disjoint and fall as i rises.  The objective falls as a
+    grows, so the rate constraint and the support constraint
+    alpha_{n-1} + beta >= 1 set a = min(r - (1 - beta)/2, n - 1 + beta).
+    What remains is piecewise linear in beta on [max(0, 1 - 2r), 1], and its
+    breakpoints are all scored at once; ``evaluations`` counts them.
+    """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if n > 4:
-        raise SolverRefusal(f"static solver refuses n={n} > 4 (grid blow-up)")
+        raise SolverRefusal(f"static solver refuses n={n} > 4 (size cap)")
     if r < -_TOL or r > n + _TOL:
         raise DomainError(f"r={r} outside [0, {n}]")
     r = min(max(r, 0.0), float(n))
 
-    n_levels = max(1, round(1.0 / grid_step))
-    values = np.linspace(0.0, 1.0, n_levels + 1)
-    A = np.array(list(itertools.combinations_with_replacement(values, n)))
-    B = values
-    deficits = (1.0 - A).sum(axis=1)
-    feasible_pairs = []
-    evaluations = 0
-    coeff = np.array([2.0 * n - 2.0 * i for i in range(n)])
-    for beta in B:
-        mask = (deficits + 0.5 * (1.0 - beta) <= r + _TOL) & (
-            A[:, n - 1] + beta >= 1.0 - _TOL
-        )
-        if not mask.any():
-            continue
-        sub = A[mask]
-        vals = sub @ coeff + n * beta - n
-        if n > 1:
-            vals = vals + np.clip(1.0 - beta - sub[:, : n - 1], 0.0, None).sum(axis=1)
-        evaluations += len(sub)
-        order = np.argsort(vals, kind="stable")
-        for idx in order[:2]:
-            feasible_pairs.append((float(vals[idx]), tuple(sub[idx]), float(beta)))
-    if not feasible_pairs:
-        raise RuntimeError(f"static grid found no feasible point at r={r}")
-    feasible_pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    best = None
-    for val, alpha, beta in feasible_pairs[: max(1, starts)]:
-        alpha_r, beta_r, value = _static_refine(n, r, alpha, beta, cell=grid_step)
-        cand = (value, tuple(alpha_r), beta_r)
-        if best is None or cand[0] < best[0] - 1e-12:
-            best = cand
-    value, alpha, beta = best
-    argmin = ExponentTriple(alpha, (beta,), ())
+    lo = max(0.0, 1.0 - 2.0 * r)
+    kinks = np.concatenate(
+        [
+            [lo, 1.0, 2.0 * r - 2.0 * n + 1.0],
+            2.0 * (np.arange(n + 1.0) - r) + 1.0,  # deficit a crosses j
+            2.0 * (r - np.arange(n - 1.0)) - 1.0,  # alpha_i crosses 1 - beta
+        ]
+    )
+    beta = np.unique(kinks[(kinks >= lo) & (kinks <= 1.0)])
+    a = np.minimum(r - 0.5 * (1.0 - beta), n - 1.0 + beta)
+    alpha = _profile_rows(a, n)
+    values = alpha @ (2.0 * n - 2.0 * np.arange(n)) + n * beta - n
+    values += np.clip(1.0 - beta[:, None] - alpha[:, : n - 1], 0.0, None).sum(axis=1)
+    best = int(np.argmin(values))
     return SolveResult(
-        d=max(value, 0.0), argmin=argmin, method="static-grid", evaluations=evaluations
+        d=max(float(values[best]), 0.0),
+        argmin=ExponentTriple(tuple(alpha[best]), (float(beta[best]),), ()),
+        method="static-exact",
+        evaluations=int(values.size),
     )
 
 
@@ -517,62 +432,34 @@ def solve_static_n1n(n: int, r: float, *, grid_step: float = 0.05, starts: int =
 # curve generation
 
 
-def _variant_domain(config: AntennaConfig, variant: str):
-    m, k, n = config.m, config.k, config.n
-    if variant in ("hd-dynamic", "fd", "ptp"):
-        return 0.0, float(config.max_mux)
-    if variant in ("closed-1k1", "ddf-1k1"):
-        if m != 1 or n != 1:
-            raise ConfigurationError(f"variant {variant!r} needs m = n = 1, got {config}")
-        return 0.0, 1.0
-    if variant == "static-1k1":
-        if m != 1 or n != 1:
-            raise ConfigurationError(f"variant {variant!r} needs m = n = 1, got {config}")
-        return 0.5, 1.0
-    if variant in ("closed-n1n", "hd-static-n1n"):
-        if m != n or k != 1:
-            raise ConfigurationError(
-                f"variant {variant!r} needs m = n and k = 1, got {config}"
-            )
-        return 0.0, float(n)
-    if variant == "symmetric-upper":
-        if m != n:
-            raise ConfigurationError(f"variant {variant!r} needs m = n, got {config}")
-        return 0.0, float(n)
-    raise ConfigurationError(f"unknown variant {variant!r}")
+_ONE_K_ONE = ("m = n = 1", lambda c: c.m == 1 and c.n == 1)
+_N_ONE_N = ("m = n and k = 1", lambda c: c.m == c.n and c.k == 1)
+_N_K_N = ("m = n", lambda c: c.m == c.n)
 
-
-def _variant_fn(config: AntennaConfig, variant: str):
-    m, k, n = config.m, config.k, config.n
-    return {
-        "hd-dynamic": lambda r: solve_two_var(config, r).d,
-        "fd": lambda r: fd_dmt(config, r),
-        "ptp": lambda r: ptp_dmt(m, n, r),
-        "closed-1k1": lambda r: dmt_1k1(k, r),
-        "ddf-1k1": lambda r: dmt_ddf_1k1(k, r),
-        "static-1k1": lambda r: dmt_static_1k1(k, r),
-        "closed-n1n": lambda r: dmt_n1n(n, r),
-        "hd-static-n1n": lambda r: solve_static_n1n(n, r).d,
-        "symmetric-upper": lambda r: dmt_symmetric_upper(n, k, r),
-    }[variant]
-
-
-VARIANTS = (
-    "hd-dynamic",
-    "fd",
-    "ptp",
-    "closed-1k1",
-    "closed-n1n",
-    "hd-static-n1n",
-    "symmetric-upper",
-    "ddf-1k1",
-    "static-1k1",
-)
+# name -> (configurations it is defined on, lowest r, d at r); every domain
+# ends at max_mux, which is 1 on (1, k, 1) and n on (n, k, n)
+_REGISTRY = {
+    "hd-dynamic": (None, 0.0, lambda c, r: solve_two_var(c, r).d),
+    "fd": (None, 0.0, lambda c, r: fd_dmt(c, r)),
+    "ptp": (None, 0.0, lambda c, r: ptp_dmt(c.m, c.n, r)),
+    "closed-1k1": (_ONE_K_ONE, 0.0, lambda c, r: dmt_1k1(c.k, r)),
+    "closed-n1n": (_N_ONE_N, 0.0, lambda c, r: dmt_n1n(c.n, r)),
+    "hd-static-n1n": (_N_ONE_N, 0.0, lambda c, r: solve_static_n1n(c.n, r).d),
+    "symmetric-upper": (_N_K_N, 0.0, lambda c, r: dmt_symmetric_upper(c.n, c.k, r)),
+    "ddf-1k1": (_ONE_K_ONE, 0.0, lambda c, r: dmt_ddf_1k1(c.k, r)),
+    "static-1k1": (_ONE_K_ONE, 0.5, lambda c, r: dmt_static_1k1(c.k, r)),
+}
+VARIANTS = tuple(_REGISTRY)
 
 
 def dmt_curve(config: AntennaConfig, variant: str, r_grid: Sequence[float]) -> DmtCurve:
     """Sample one tradeoff variant on a sorted r grid."""
-    lo, hi = _variant_domain(config, variant)
+    if variant not in _REGISTRY:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    needs, lo, fn = _REGISTRY[variant]
+    if needs is not None and not needs[1](config):
+        raise ConfigurationError(f"variant {variant!r} needs {needs[0]}, got {config}")
+    hi = float(config.max_mux)
     grid = [float(r) for r in r_grid]
     if not grid:
         raise DomainError("r grid is empty")
@@ -583,6 +470,5 @@ def dmt_curve(config: AntennaConfig, variant: str, r_grid: Sequence[float]) -> D
         raise DomainError(
             f"r grid [{grid[0]}, {grid[-1]}] outside the {variant!r} domain [{lo}, {hi}]"
         )
-    fn = _variant_fn(config, variant)
-    points = tuple(DmtPoint(r, fn(r)) for r in grid)
+    points = tuple(DmtPoint(r, fn(config, r)) for r in grid)
     return DmtCurve(config=config, variant=variant, points=points)

@@ -131,7 +131,7 @@ def check_static_matches_dynamic(fault: Optional[str] = None) -> str:
     for n in (1, 2):
         for r in np.linspace(0, n, 7):
             worst = max(worst, abs(solve_static_n1n(n, float(r)).d - dmt_n1n(n, float(r))))
-    _expect(worst <= 5e-3, f"static solver strayed {worst:.2e}")
+    _expect(worst <= 1e-9, f"static solver strayed {worst:.2e}")
     return f"max static gap {worst:.2e}"
 
 

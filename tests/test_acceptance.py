@@ -95,8 +95,8 @@ def test_c03_static_equals_dynamic_n1n():
     elapsed_ok = time.time() - t0 < 60.0
     report(
         "C03 static equals dynamic (n,1,n)",
-        gap <= 5e-3 and elapsed_ok,
-        f"max gap {gap:.1e} (tol 5e-3), <60s",
+        gap <= 1e-9 and elapsed_ok,
+        f"max gap {gap:.1e} (tol 1e-9), <60s",
         t0,
     )
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import relaydmt
 from relaydmt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -211,3 +214,13 @@ def test_verify_fault_injection_fails_and_names_check(capsys):
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "FAIL  profile consistency" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relaydmt.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, relaydmt.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.stdout.strip() == "False"

@@ -332,6 +332,27 @@ def test_diversity_fit_insufficient_points():
         diversity_fit(synthetic_estimates(1.0, 1.0, [10, 100]))
 
 
+def test_diversity_fit_rejects_a_single_snr():
+    with pytest.raises(DomainError):
+        diversity_fit(synthetic_estimates(1.0, 1.0, [100, 100, 100]))
+
+
+def test_diversity_fit_matches_linregress():
+    stats = pytest.importorskip("scipy.stats")
+    rhos = [10.0, 100.0, 1000.0, 10000.0, 100000.0]
+    jitter = [0.13, -0.21, 0.05, 0.17, -0.09]  # decades of noise on p_out
+    ests = [
+        OutageEstimate(rho=rho, r=0.5, p_out=0.3 * rho**-1.2 * 10**e, n_samples=10**9,
+                       ci_half_width=0.0)
+        for rho, e in zip(rhos, jitter)
+    ]
+    fit = diversity_fit(ests)
+    ref = stats.linregress(np.log10(rhos), -np.log10([e.p_out for e in ests]))
+    assert abs(fit.slope - ref.slope) <= 1e-12
+    assert abs(fit.stderr - ref.stderr) <= 1e-12
+    assert fit.stderr > 0.0
+
+
 # ---------------------------------------------------------------------------
 # conditional independence report
 

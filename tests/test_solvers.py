@@ -280,17 +280,31 @@ def test_symmetric_upper_domain_error():
 
 
 def test_static_n1n_values():
-    assert solve_static_n1n(1, 0.5).d == pytest.approx(1.0, abs=5e-3)
-    assert solve_static_n1n(2, 1.0).d == pytest.approx(2.0, abs=5e-3)
-    assert solve_static_n1n(1, 1.0).d == pytest.approx(0.0, abs=5e-3)
+    assert solve_static_n1n(1, 0.5).d == pytest.approx(1.0, abs=1e-9)
+    assert solve_static_n1n(2, 1.0).d == pytest.approx(2.0, abs=1e-9)
+    assert solve_static_n1n(1, 1.0).d == pytest.approx(0.0, abs=1e-9)
+
+
+def static_objective(n, alpha, beta):
+    """Fixed-schedule (n, 1, n) objective over the direct and in-hop exponents."""
+    value = n * beta - n
+    value += sum((2 * n - 2 * i) * x for i, x in enumerate(alpha))
+    value += sum(max(1.0 - beta - x, 0.0) for x in alpha[: n - 1])
+    return value
 
 
 def test_static_n1n_matches_dynamic():
-    for n in (1, 2):
-        for r in np.linspace(0, n, 9):
-            assert solve_static_n1n(n, float(r)).d == pytest.approx(
-                dmt_n1n(n, float(r)), abs=5e-3
-            )
+    for n in (1, 2, 3, 4):
+        for r in np.linspace(0, n, 41):
+            res = solve_static_n1n(n, float(r))
+            assert res.d == pytest.approx(dmt_n1n(n, float(r)), abs=1e-9)
+            alpha, (beta,) = res.argmin.alpha, res.argmin.beta
+            assert len(alpha) == n and res.argmin.delta == ()
+            assert list(alpha) == sorted(alpha)
+            assert all(0.0 <= x <= 1.0 for x in alpha) and 0.0 <= beta <= 1.0
+            assert sum(1.0 - x for x in alpha) + 0.5 * (1.0 - beta) <= r + 1e-9
+            assert alpha[-1] + beta >= 1.0 - 1e-9
+            assert static_objective(n, alpha, beta) == pytest.approx(res.d, abs=1e-9)
 
 
 def test_static_n1n_refuses_large_n():
