@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from .core import AntennaConfig, ConfigurationError, DomainError
 from .simulate import InsufficientDataError, diversity_fit, outage_probability
@@ -20,24 +19,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER_REFUSED = 3
 EXIT_INSUFFICIENT_DATA = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m: int = 1
-    k: int = 1
-    n: int = 1
-    r_grid: list = field(default_factory=list)
-    variants: list = field(default_factory=list)
-    snr_db_grid: list = field(default_factory=list)
-    samples: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    output_path: str = ""
-    format: str = "json"
-    conjectures: bool = False
-    inject_fault: str = ""
 
 
 def _parse_grid(text: str) -> list:
@@ -75,19 +56,19 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.output_path:
-        _write_atomic(cfg.output_path, text)
+    if args.out:
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _summary(cfg: RunConfig, line: str) -> None:
+def _summary(args: argparse.Namespace, line: str) -> None:
     """Print a human summary line; it goes to stderr when the machine output
     takes stdout, so that stdout stays parseable."""
-    print(line, file=sys.stdout if cfg.output_path else sys.stderr)
+    print(line, file=sys.stdout if args.out else sys.stderr)
 
 
 def _curves_to_json(curves) -> str:
@@ -103,38 +84,38 @@ def _curves_to_csv(curves) -> str:
     return "\n".join(rows)
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    config = AntennaConfig(cfg.m, cfg.k, cfg.n)
-    if not cfg.variants:
+def cmd_curve(args: argparse.Namespace) -> int:
+    config = AntennaConfig(args.m, args.k, args.n)
+    if not args.variants:
         raise ConfigurationError("no variants requested")
-    if not cfg.r_grid:
+    if not args.r:
         raise DomainError("r grid is empty")
-    curves = [dmt_curve(config, v, cfg.r_grid) for v in cfg.variants]
-    text = _curves_to_json(curves) if cfg.format == "json" else _curves_to_csv(curves)
-    _emit(cfg, text)
+    curves = [dmt_curve(config, v, args.r) for v in args.variants]
+    text = _curves_to_json(curves) if args.format == "json" else _curves_to_csv(curves)
+    _emit(args, text)
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    config = AntennaConfig(cfg.m, cfg.k, cfg.n)
-    if len(cfg.variants) < 2:
+def cmd_compare(args: argparse.Namespace) -> int:
+    config = AntennaConfig(args.m, args.k, args.n)
+    if len(args.variants) < 2:
         raise ConfigurationError("compare needs at least two variants")
-    if not cfg.r_grid:
+    if not args.r:
         raise DomainError("r grid is empty")
-    curves = {v: dmt_curve(config, v, cfg.r_grid) for v in cfg.variants}
+    curves = {v: dmt_curve(config, v, args.r) for v in args.variants}
     values = {v: [p.d for p in c.points] for v, c in curves.items()}
     gaps = {}
-    names = list(cfg.variants)
+    names = list(args.variants)
     for i, va in enumerate(names):
         for vb in names[i + 1 :]:
             gaps[f"{va}|{vb}"] = max(
                 abs(x - y) for x, y in zip(values[va], values[vb])
             )
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(
             {
-                "config": {"m": cfg.m, "k": cfg.k, "n": cfg.n},
-                "r_grid": cfg.r_grid,
+                "config": {"m": args.m, "k": args.k, "n": args.n},
+                "r_grid": args.r,
                 "values": values,
                 "max_gaps": gaps,
             },
@@ -142,36 +123,36 @@ def cmd_compare(cfg: RunConfig) -> int:
         )
     else:
         rows = ["r," + ",".join(names)]
-        for i, r in enumerate(cfg.r_grid):
+        for i, r in enumerate(args.r):
             rows.append(
                 f"{r:.12g}," + ",".join(f"{values[v][i]:.12g}" for v in names)
             )
         text = "\n".join(rows)
-    _emit(cfg, text)
+    _emit(args, text)
     for pair, gap in gaps.items():
-        _summary(cfg, f"max gap {pair}: {gap:.6g}")
+        _summary(args, f"max gap {pair}: {gap:.6g}")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    config = AntennaConfig(cfg.m, cfg.k, cfg.n)
-    if len(cfg.r_grid) != 1:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = AntennaConfig(args.m, args.k, args.n)
+    if len(args.r) != 1:
         raise DomainError("simulate needs exactly one --r value")
-    r = cfg.r_grid[0]
-    if not cfg.snr_db_grid:
+    r = args.r[0]
+    if not args.snr_db:
         raise DomainError("simulate needs a --snr-db grid")
     estimates = [
         outage_probability(
-            config, 10.0 ** (db / 10.0), r, cfg.samples, cfg.seed, cfg.workers
+            config, 10.0 ** (db / 10.0), r, args.samples, args.seed, args.workers
         )
-        for db in cfg.snr_db_grid
+        for db in args.snr_db
     ]
     fit = diversity_fit(estimates)
     analytic = solve_two_var(config, r).d
     record = {
-        "config": {"m": cfg.m, "k": cfg.k, "n": cfg.n},
+        "config": {"m": args.m, "k": args.k, "n": args.n},
         "r": r,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "estimates": [
             {
                 "snr_db": db,
@@ -180,33 +161,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 "n_samples": e.n_samples,
                 "ci_half_width": e.ci_half_width,
             }
-            for db, e in zip(cfg.snr_db_grid, estimates)
+            for db, e in zip(args.snr_db, estimates)
         ],
         "slope": {"slope": fit.slope, "stderr": fit.stderr},
         "analytic_d": analytic,
     }
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(record, indent=2)
     else:
         rows = ["snr_db,rho,r,p_out,n_samples,ci_half_width"]
-        for db, e in zip(cfg.snr_db_grid, estimates):
+        for db, e in zip(args.snr_db, estimates):
             rows.append(
                 f"{db:.12g},{e.rho:.12g},{r:.12g},{e.p_out:.12g},"
                 f"{e.n_samples},{e.ci_half_width:.12g}"
             )
         text = "\n".join(rows)
-    _emit(cfg, text)
+    _emit(args, text)
     _summary(
-        cfg,
+        args,
         f"fitted slope {fit.slope:.4f} (stderr {fit.stderr:.4f}), "
         f"analytic d {analytic:.4f}",
     )
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     ok, lines = run_verify(
-        conjectures=cfg.conjectures, inject_fault=cfg.inject_fault or None
+        conjectures=args.conjectures, inject_fault=args.inject_fault or None
     )
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -259,40 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_run_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("m", "k", "n", "samples", "seed", "workers"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "variants", ""):
-        cfg.variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if hasattr(args, "r"):
-        cfg.r_grid = _parse_grid(args.r)
-    if hasattr(args, "snr_db"):
-        cfg.snr_db_grid = _parse_grid(args.snr_db)
-    if hasattr(args, "format"):
-        cfg.format = args.format
-    if hasattr(args, "out"):
-        cfg.output_path = args.out
-    cfg.conjectures = getattr(args, "conjectures", False)
-    cfg.inject_fault = getattr(args, "inject_fault", "")
-    if cfg.seed < 0 or cfg.seed >= 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {cfg.seed}")
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _to_run_config(args)
+        # grids are parsed here, not by argparse, so that a bad one exits 2
+        for name in ("r", "snr_db"):
+            if hasattr(args, name):
+                setattr(args, name, _parse_grid(getattr(args, name)))
+        if hasattr(args, "variants"):
+            args.variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {args.seed}")
         handler = {
             "curve": cmd_curve,
             "compare": cmd_compare,
             "simulate": cmd_simulate,
             "verify": cmd_verify,
-        }[cfg.command]
-        return handler(cfg)
+        }[args.command]
+        return handler(args)
     except (ConfigurationError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

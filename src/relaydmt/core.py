@@ -7,8 +7,7 @@ ordered eigenvalues.  Aggregate "levels" (a, b, s) measure how much
 multiplexing each link carries: ``a`` on the direct source-destination link,
 ``b`` on the source-relay hop and ``s`` on the relay-destination hop.  The
 profile map translates a level back into the cheapest exponent vector that
-realises it, and the two range helpers bound the (a, b) search box of the
-reduced tradeoff minimisation.
+realises it.
 """
 
 from __future__ import annotations
@@ -289,53 +288,3 @@ def exponent_profile(level: float, length: int) -> tuple:
         raise DomainError(f"level {level} outside [0, {length}]")
     level = min(max(level, 0.0), float(length))
     return tuple(_pos(1.0 - _pos(level - i)) for i in range(length))
-
-
-def direct_level_range(config: AntennaConfig, r: float) -> tuple:
-    """Interval of direct-link levels ``a`` for which the two relay hops can
-    still close the remaining rate r - a inside their own level caps.
-
-    The lower endpoint is the largest of the thresholds obtained from the four
-    cap pairs (p, q), (m - a, n - a), (p, n - a) and (m - a, q); the upper
-    endpoint is r itself.  The interval is never empty for r in [0, min(m,n)].
-    """
-    m, n = config.m, config.n
-    p, q = config.p, config.q
-    top = float(config.max_mux)
-    if r < -_TOL or r > top + _TOL:
-        raise DomainError(f"r={r} outside [0, {top}]")
-    r = min(max(r, 0.0), top)
-    lo = max(
-        0.0,
-        r - p * q / (p + q),
-        r - math.sqrt((m - r) * (n - r)),
-        (n + r) / 2.0 - math.sqrt(((n - r) / 2.0) ** 2 + p * (n - r)),
-        (m + r) / 2.0 - math.sqrt(((m - r) / 2.0) ** 2 + q * (m - r)),
-    )
-    if lo > r + _TOL:
-        raise RuntimeError(f"empty direct-level interval at r={r} for {config}")
-    return (min(lo, r), r)
-
-
-def relay_level_range(config: AntennaConfig, r: float, a: float) -> tuple:
-    """Feasible source-relay level interval for a given direct level ``a``.
-
-    At a == r no rate is left for the relay path and any b in [0, b_cap]
-    works (the out-link level is then 0); otherwise the lower endpoint is the
-    b needed when the out-link runs at its own cap.
-    """
-    lo_a, hi_a = direct_level_range(config, r)
-    if a < lo_a - _TOL or a > hi_a + _TOL:
-        raise DomainError(f"a={a} outside the direct-level range [{lo_a}, {hi_a}]")
-    a = min(max(a, lo_a), hi_a)
-    b_cap = min(float(config.p), config.m - a)
-    s_cap = min(float(config.q), config.n - a)
-    rest = r - a
-    if rest <= 0.0:
-        return (0.0, b_cap)
-    if s_cap - rest <= 0.0:
-        raise RuntimeError(
-            f"relay out-link cap {s_cap} cannot carry the residual rate {rest}"
-        )
-    b_lo = s_cap * rest / (s_cap - rest)
-    return (min(b_lo, b_cap), b_cap)

@@ -96,102 +96,25 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _block_channels(config: AntennaConfig, rng: np.random.Generator, count: int):
+    """A block of channel triples, stacked on the leading axis (draw order:
+    direct, in-hop, out-hop)."""
+    m, k, n = config.m, config.k, config.n
+    return (
+        _complex_gaussian(rng, (count, n, m)),
+        _complex_gaussian(rng, (count, k, m)),
+        _complex_gaussian(rng, (count, n, k)),
+    )
+
+
 def sample_channel(config: AntennaConfig, rng: np.random.Generator) -> ChannelSample:
     """Draw one Rayleigh channel triple (direct, in-hop, out-hop order)."""
-    m, k, n = config.m, config.k, config.n
-    return ChannelSample(
-        h_sd=_complex_gaussian(rng, (n, m)),
-        h_sr=_complex_gaussian(rng, (k, m)),
-        h_rd=_complex_gaussian(rng, (n, k)),
-    )
-
-
-def _log2_det_eye_plus(rho: float, h: np.ndarray) -> float:
-    """log2 det(I + rho h h'), via Cholesky of the smaller Gram side."""
-    if h.shape[0] <= h.shape[1]:
-        gram = h @ h.conj().T
-    else:
-        gram = h.conj().T @ h
-    a = rho * gram + np.eye(gram.shape[0])
-    chol = np.linalg.cholesky(a)
-    return float(2.0 * np.log(np.diag(chol).real).sum() / _LN2)
-
-
-def cutset_terms(sample: ChannelSample, rho: float) -> CutsetTerms:
-    """Evaluate the three cut log determinants in the log domain."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    for h in (sample.h_sd, sample.h_sr, sample.h_rd):
-        if not np.all(np.isfinite(h)):
-            raise ValueError("channel matrices contain non-finite entries")
-    joint_tx = np.concatenate([sample.h_sd, sample.h_rd], axis=1)  # n x (m+k)
-    listen = np.concatenate([sample.h_sr, sample.h_sd], axis=0)  # (k+n) x m
-    return CutsetTerms(
-        log_l_sd=_log2_det_eye_plus(rho, sample.h_sd),
-        log_l_srd=_log2_det_eye_plus(rho, joint_tx),
-        log_l_s_rd=_log2_det_eye_plus(rho, listen),
-        rho=rho,
-    )
-
-
-def _relay_gains(terms: CutsetTerms):
-    a = max(terms.log_l_srd - terms.log_l_sd, 0.0)
-    b = max(terms.log_l_s_rd - terms.log_l_sd, 0.0)
-    return a, b
-
-
-def optimal_switch_time(terms: CutsetTerms) -> float:
-    """Listen fraction maximising the cut-set rate; 1/2 when both relay
-    gains vanish (any split is then equally good)."""
-    a, b = _relay_gains(terms)
-    if a + b < 1e-12:
-        return 0.5
-    return a / (a + b)
-
-
-def rate_upper(terms: CutsetTerms) -> float:
-    """Cut-set rate ceiling in bits per channel use at the optimal switch."""
-    a, b = _relay_gains(terms)
-    relay = 0.0 if a + b < 1e-12 else a * b / (a + b)
-    return relay + terms.log_l_sd
-
-
-_EIG_FLOOR = 1e-300
-
-
-def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
-    """Negative SNR exponents of the ordered eigenvalues of the three
-    composite channel matrices; requires rho > 1 so the log base is sound."""
-    if not rho > 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    h_sd, h_sr, h_rd = sample.h_sd, sample.h_sr, sample.h_rd
-    n, m = h_sd.shape
-    k = h_sr.shape[0]
-    u, p, q = min(m, n), min(m, k), min(n, k)
-
-    w1 = h_sd @ h_sd.conj().T
-    m2 = np.eye(m) + rho * (h_sd.conj().T @ h_sd)
-    w2 = h_sr @ np.linalg.solve(m2, h_sr.conj().T)
-    m3 = np.eye(n) + rho * w1
-    w3 = h_rd.conj().T @ np.linalg.solve(m3, h_rd)
-
-    log_rho = math.log(rho)
-
-    def exponents(w, count):
-        w = 0.5 * (w + w.conj().T)
-        eig = np.linalg.eigvalsh(w)[-count:][::-1]  # descending nonzero part
-        eig = np.maximum(eig, _EIG_FLOOR)  # clamp hermitian-solver negatives
-        return tuple(-math.log(x) / log_rho for x in eig)
-
-    return ExponentTriple(exponents(w1, u), exponents(w2, p), exponents(w3, q))
-
-
-# ---------------------------------------------------------------------------
-# outage estimation
+    return ChannelSample(*(h[0] for h in _block_channels(config, rng, 1)))
 
 
 def _log2_det_batch(rho: float, h: np.ndarray) -> np.ndarray:
-    """Batched log2 det(I + rho h h') over the leading axis."""
+    """Batched log2 det(I + rho h h') over the leading axis, via Cholesky of
+    the smaller Gram side."""
     if h.shape[1] <= h.shape[2]:
         gram = h @ h.conj().transpose(0, 2, 1)
     else:
@@ -203,23 +126,108 @@ def _log2_det_batch(rho: float, h: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=1) / _LN2
 
 
-def _block_rates(config: AntennaConfig, rho: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Cut-set rate ceilings for a block of samples (stacked draw order:
-    direct, in-hop, out-hop)."""
-    m, k, n = config.m, config.k, config.n
-    h_sd = _complex_gaussian(rng, (count, n, m))
-    h_sr = _complex_gaussian(rng, (count, k, m))
-    h_rd = _complex_gaussian(rng, (count, n, k))
-    l_sd = _log2_det_batch(rho, h_sd)
-    l_srd = _log2_det_batch(rho, np.concatenate([h_sd, h_rd], axis=2))
-    l_s_rd = _log2_det_batch(rho, np.concatenate([h_sr, h_sd], axis=1))
+def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
+    """The three cut log determinants for a stack of channel triples: the
+    direct link, the joint transmission cut [H_SD H_RD] and the listening
+    cut [H_SR; H_SD]."""
+    return (
+        _log2_det_batch(rho, h_sd),
+        _log2_det_batch(rho, np.concatenate([h_sd, h_rd], axis=2)),
+        _log2_det_batch(rho, np.concatenate([h_sr, h_sd], axis=1)),
+    )
+
+
+def _switch_and_rate(l_sd, l_srd, l_s_rd):
+    """Optimal listen fraction and cut-set rate ceiling, elementwise.
+
+    The relay gains over the direct link split the time as a : b; when both
+    vanish any split is equally good and the fraction is 1/2.
+    """
     a = np.maximum(l_srd - l_sd, 0.0)
     b = np.maximum(l_s_rd - l_sd, 0.0)
     gain = a + b
-    relay = np.zeros_like(gain)
     live = gain >= 1e-12
-    relay[live] = a[live] * b[live] / gain[live]
-    return relay + l_sd
+    safe = np.where(live, gain, 1.0)
+    switch = np.where(live, a / safe, 0.5)
+    relay = np.where(live, a * b / safe, 0.0)
+    return switch, relay + l_sd
+
+
+def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
+    """Hermitian W1, W2, W3 for a stack of channel triples: W1 = H_SD H_SD',
+    W2 = H_SR (I + rho H_SD' H_SD)^-1 H_SR' and
+    W3 = H_RD' (I + rho W1)^-1 H_RD."""
+    n, m = h_sd.shape[1:]
+    hd_t = h_sd.conj().transpose(0, 2, 1)
+    w1 = h_sd @ hd_t
+    m2 = np.eye(m) + rho * (hd_t @ h_sd)
+    w2 = h_sr @ np.linalg.solve(m2, h_sr.conj().transpose(0, 2, 1))
+    m3 = np.eye(n) + rho * w1
+    w3 = h_rd.conj().transpose(0, 2, 1) @ np.linalg.solve(m3, h_rd)
+    return tuple(0.5 * (w + w.conj().transpose(0, 2, 1)) for w in (w1, w2, w3))
+
+
+def cutset_terms(sample: ChannelSample, rho: float) -> CutsetTerms:
+    """Evaluate the three cut log determinants in the log domain."""
+    if not rho > 0.0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    for h in (sample.h_sd, sample.h_sr, sample.h_rd):
+        if not np.all(np.isfinite(h)):
+            raise ValueError("channel matrices contain non-finite entries")
+    l_sd, l_srd, l_s_rd = _cut_log2dets(
+        rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None]
+    )
+    return CutsetTerms(
+        log_l_sd=float(l_sd[0]),
+        log_l_srd=float(l_srd[0]),
+        log_l_s_rd=float(l_s_rd[0]),
+        rho=rho,
+    )
+
+
+def optimal_switch_time(terms: CutsetTerms) -> float:
+    """Listen fraction maximising the cut-set rate; 1/2 when both relay
+    gains vanish (any split is then equally good)."""
+    switch, _ = _switch_and_rate(terms.log_l_sd, terms.log_l_srd, terms.log_l_s_rd)
+    return float(switch)
+
+
+def rate_upper(terms: CutsetTerms) -> float:
+    """Cut-set rate ceiling in bits per channel use at the optimal switch."""
+    _, rate = _switch_and_rate(terms.log_l_sd, terms.log_l_srd, terms.log_l_s_rd)
+    return float(rate)
+
+
+_EIG_FLOOR = 1e-300
+
+
+def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
+    """Negative SNR exponents of the ordered eigenvalues of the three
+    composite channel matrices; requires rho > 1 so the log base is sound."""
+    if not rho > 1.0:
+        raise DomainError(f"rho must exceed 1, got {rho}")
+    n, m = sample.h_sd.shape
+    k = sample.h_sr.shape[0]
+    grams = _composite_grams(rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None])
+    log_rho = math.log(rho)
+
+    def exponents(w, count):
+        eig = np.linalg.eigvalsh(w[0])[-count:][::-1]  # descending nonzero part
+        eig = np.maximum(eig, _EIG_FLOOR)  # clamp hermitian-solver negatives
+        return tuple(-math.log(x) / log_rho for x in eig)
+
+    counts = (min(m, n), min(m, k), min(n, k))
+    return ExponentTriple(*(exponents(w, c) for w, c in zip(grams, counts)))
+
+
+# ---------------------------------------------------------------------------
+# outage estimation
+
+
+def _block_rates(config: AntennaConfig, rho: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Cut-set rate ceilings for a block of samples."""
+    _, rate = _switch_and_rate(*_cut_log2dets(rho, *_block_channels(config, rng, count)))
+    return rate
 
 
 def _block_bounds(n_samples: int):
@@ -325,22 +333,8 @@ def diversity_fit(estimates: Sequence[OutageEstimate]) -> SlopeFit:
 
 def _top_eigenvalues(config: AntennaConfig, rho: float, rng: np.random.Generator, count: int):
     """Largest eigenvalue of each composite matrix for a block of samples."""
-    m, k, n = config.m, config.k, config.n
-    h_sd = _complex_gaussian(rng, (count, n, m))
-    h_sr = _complex_gaussian(rng, (count, k, m))
-    h_rd = _complex_gaussian(rng, (count, n, k))
-    hd_t = h_sd.conj().transpose(0, 2, 1)
-    w1 = h_sd @ hd_t
-    m2 = np.eye(m) + rho * (hd_t @ h_sd)
-    w2 = h_sr @ np.linalg.solve(m2, h_sr.conj().transpose(0, 2, 1))
-    m3 = np.eye(n) + rho * w1
-    w3 = h_rd.conj().transpose(0, 2, 1) @ np.linalg.solve(m3, h_rd)
-
-    def top(w):
-        w = 0.5 * (w + w.conj().transpose(0, 2, 1))
-        return np.linalg.eigvalsh(w)[:, -1]
-
-    return top(w1), top(w2), top(w3)
+    grams = _composite_grams(rho, *_block_channels(config, rng, count))
+    return tuple(np.linalg.eigvalsh(w)[:, -1] for w in grams)
 
 
 def conditional_independence_check(

@@ -27,7 +27,6 @@ from .core import (
     DomainError,
     ExponentTriple,
     _coeffs,
-    direct_level_range,
     exponent_profile,
     fd_dmt,
     ptp_dmt,
@@ -152,23 +151,22 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
     On that surface the objective is concave inside every linear cell, hence
     the minimum sits at a vertex: a point where two kink planes cross the
     surface, or an end of the a = r axis segments (r, 0, s_cap) and
-    (r, b_cap, 0).  All vertices inside the level caps are scored at once;
-    ``evaluations`` counts them.  Ties within 1e-9 resolve to the smallest a,
-    then the smallest b.
+    (r, b_cap, 0).  All vertices with 0 <= a <= r inside the level caps are
+    scored at once; ``evaluations`` counts them.  Ties within 1e-9 resolve to
+    the smallest a, then the smallest b.
     """
     top = float(config.max_mux)
     if r < -_TOL or r > top + _TOL:
         raise DomainError(f"r={r} outside [0, {top}]")
     r = min(max(r, 0.0), top)
-    a_lo, a_hi = direct_level_range(config, r)
     m, n, p, q = config.m, config.n, float(config.p), float(config.q)
 
     a, b, s = _surface_crossings(r, *_kink_lines(config)).T
     b_cap = np.minimum(p, m - a)
     s_cap = np.minimum(q, n - a)
     inside = (
-        (a >= a_lo - _ROOT_TOL)
-        & (a <= a_hi + _ROOT_TOL)
+        (a >= -_ROOT_TOL)
+        & (a <= r + _ROOT_TOL)
         & (b >= -_ROOT_TOL)
         & (b <= b_cap + _ROOT_TOL)
         & (s >= -_ROOT_TOL)

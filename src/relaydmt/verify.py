@@ -99,12 +99,11 @@ def check_objective_density_identity(fault: Optional[str] = None) -> str:
     worst = 0.0
     for mkn in [(1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 4, 2)]:
         c = AntennaConfig(*mkn)
-        for _ in range(2500):
-            t = ExponentTriple(
-                tuple(np.sort(rng.uniform(0, 1, c.u))),
-                tuple(np.sort(rng.uniform(0, 1, c.p))),
-                tuple(np.sort(rng.uniform(0, 1, c.q))),
-            )
+        alpha, beta, delta = (
+            np.sort(rng.uniform(size=(2500, w)), axis=1).tolist() for w in (c.u, c.p, c.q)
+        )
+        for row in zip(alpha, beta, delta):
+            t = ExponentTriple(*map(tuple, row))
             worst = max(
                 worst, abs(diversity_objective(c, t) - density_exponent(c, t))
             )

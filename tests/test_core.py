@@ -10,14 +10,12 @@ from relaydmt import (
     DomainError,
     ExponentTriple,
     density_exponent,
-    direct_level_range,
     diversity_objective,
     exponent_profile,
     fd_dmt,
     in_support,
     ptp_dmt,
     rate_exponent,
-    relay_level_range,
 )
 
 
@@ -31,31 +29,6 @@ def random_cube_triple(rng, config):
         np.sort(rng.uniform(0.0, 1.0, config.p)),
         np.sort(rng.uniform(0.0, 1.0, config.q)),
     )
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def harmonic(x, y):
-    return x * y / (x + y) if x + y > 0 else 0.0
-
-
-def level_feasible(config, r, a):
-    """Directly check that the relay hops can close the rate gap at level a."""
-    b_cap = min(config.p, config.m - a)
-    s_cap = min(config.q, config.n - a)
-    return harmonic(b_cap, s_cap) >= (r - a) - 1e-12
-
-
-def scan_level_boundary(config, r, steps=20000):
-    """Smallest feasible a found by brute scan of [0, r]."""
-    if r == 0:
-        return 0.0
-    grid = np.linspace(0.0, r, steps)
-    feasible = [a for a in grid if level_feasible(config, r, a)]
-    assert feasible, "scan found no feasible level"
-    return feasible[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,72 +212,6 @@ def test_profile_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# level ranges
-
-
-def test_direct_level_range_examples():
-    lo, hi = direct_level_range(AntennaConfig(1, 1, 1), 1.0)
-    assert (lo, hi) == (1.0, 1.0)
-    lo, hi = direct_level_range(AntennaConfig(1, 2, 1), 0.0)
-    assert (lo, hi) == (0.0, 0.0)
-    lo, hi = direct_level_range(AntennaConfig(2, 2, 2), 1.0)
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == 1.0
-
-
-@pytest.mark.parametrize(
-    "mkn", [(1, 1, 1), (1, 2, 1), (2, 2, 2), (2, 3, 1), (1, 2, 3), (3, 2, 2), (4, 3, 2)]
-)
-def test_direct_level_range_matches_feasibility_scan(mkn):
-    c = AntennaConfig(*mkn)
-    for r in np.linspace(0.0, c.max_mux, 9):
-        lo, hi = direct_level_range(c, float(r))
-        assert hi == pytest.approx(r, abs=1e-12)
-        assert 0.0 <= lo <= hi + 1e-12
-        scanned = scan_level_boundary(c, float(r))
-        assert lo == pytest.approx(scanned, abs=2e-4), (mkn, r)
-        assert level_feasible(c, float(r), lo)
-
-
-def test_direct_level_range_domain_error():
-    with pytest.raises(DomainError):
-        direct_level_range(AntennaConfig(2, 1, 2), 2.5)
-
-
-def test_relay_level_range_examples():
-    lo, hi = relay_level_range(AntennaConfig(1, 2, 1), 0.25, 0.0)
-    assert lo == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert hi == 1.0
-    lo, hi = relay_level_range(AntennaConfig(1, 1, 1), 0.5, 0.5)
-    assert (lo, hi) == (0.0, 0.5)
-    lo, hi = relay_level_range(AntennaConfig(2, 3, 2), 0.0, 0.0)
-    assert (lo, hi) == (0.0, 2.0)
-
-
-def test_relay_level_range_consistent_with_out_link_cap():
-    rng = np.random.default_rng(5)
-    for mkn in [(1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 2, 1), (2, 4, 2)]:
-        c = AntennaConfig(*mkn)
-        for _ in range(400):
-            r = rng.uniform(0, c.max_mux)
-            a_lo, a_hi = direct_level_range(c, r)
-            a = rng.uniform(a_lo, a_hi)
-            b_lo, b_hi = relay_level_range(c, r, a)
-            assert 0.0 <= b_lo <= b_hi + 1e-12
-            assert b_hi == pytest.approx(min(c.p, c.m - a), abs=1e-12)
-            if r - a > 1e-9:
-                # at b_lo the out-link runs at its cap and closes the gap
-                s_cap = min(c.q, c.n - a)
-                assert harmonic(b_lo, s_cap) == pytest.approx(r - a, abs=1e-9)
-
-
-def test_relay_level_range_rejects_a_outside_range():
-    c = AntennaConfig(1, 2, 1)
-    with pytest.raises(DomainError):
-        relay_level_range(c, 0.25, 0.9)
-
-
-# ---------------------------------------------------------------------------
 # objective monotonicity along saturated boundaries
 
 
@@ -365,3 +272,27 @@ def test_curve_validation():
         DmtCurve(c, "ptp", ((0.0, 1.0), (0.0, 0.5)))
     with pytest.raises(DomainError):
         DmtCurve(c, "ptp", ((0.0, 0.5), (0.5, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def test_public_names_are_pinned():
+    # a change to the package surface must show up here as a test diff
+    import relaydmt
+
+    assert sorted(relaydmt.__all__) == [
+        "AntennaConfig", "ChannelSample", "ConfigurationError", "CutsetTerms",
+        "DmtCurve", "DmtPoint", "DomainError", "ExponentTriple",
+        "IndependenceReport", "InsufficientDataError", "LevelTriple",
+        "OutageEstimate", "SlopeFit", "SolveResult", "SolverRefusal", "VARIANTS",
+        "__version__", "channel_rng", "conditional_independence_check",
+        "cutset_terms", "density_exponent", "diversity_fit", "diversity_objective",
+        "dmt_1k1", "dmt_curve", "dmt_ddf_1k1", "dmt_n1n", "dmt_static_1k1",
+        "dmt_symmetric_upper", "eigen_exponents", "exponent_profile", "fd_dmt",
+        "in_support", "optimal_switch_time", "outage_probability", "ptp_dmt",
+        "rate_exponent", "rate_upper", "run_verify", "sample_channel",
+        "solve_general_grid", "solve_static_n1n", "solve_two_var",
+    ]
+    assert all(hasattr(relaydmt, name) for name in relaydmt.__all__)

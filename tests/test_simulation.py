@@ -98,24 +98,25 @@ def test_cutset_psd_monotonicity():
         assert t.log_l_sd >= -1e-9
 
 
-def test_cutset_agrees_with_direct_determinant():
-    c = AntennaConfig(3, 2, 2)
+@pytest.mark.parametrize(
+    "mkn", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 2), (1, 3, 2)]
+)
+def test_cutset_agrees_with_direct_determinant(mkn):
+    # Gram sides 1-3, and the smaller Gram side on either side of each cut
+    c = AntennaConfig(*mkn)
     rng = channel_rng(33)
+
+    def direct(rho, h):
+        return np.log2(np.linalg.det(np.eye(h.shape[0]) + rho * h @ h.conj().T).real)
+
     for rho in (1.0, 100.0, 1e4):
         s = sample_channel(c, rng)
         t = cutset_terms(s, rho)
-        direct = np.log2(
-            np.linalg.det(np.eye(2) + rho * s.h_sd @ s.h_sd.conj().T).real
-        )
-        assert t.log_l_sd == pytest.approx(direct, rel=1e-9)
+        assert t.log_l_sd == pytest.approx(direct(rho, s.h_sd), rel=1e-9)
         joint = np.concatenate([s.h_sd, s.h_rd], axis=1)
-        direct = np.log2(np.linalg.det(np.eye(2) + rho * joint @ joint.conj().T).real)
-        assert t.log_l_srd == pytest.approx(direct, rel=1e-9)
+        assert t.log_l_srd == pytest.approx(direct(rho, joint), rel=1e-9)
         listen = np.concatenate([s.h_sr, s.h_sd], axis=0)
-        direct = np.log2(
-            np.linalg.det(np.eye(4) + rho * listen @ listen.conj().T).real
-        )
-        assert t.log_l_s_rd == pytest.approx(direct, rel=1e-9)
+        assert t.log_l_s_rd == pytest.approx(direct(rho, listen), rel=1e-9)
 
 
 def test_cutset_rejects_bad_input():
