@@ -91,9 +91,16 @@ def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) array: real and imaginary parts each N(0, 1/2)."""
+    """CN(0, 1) stack of ``shape`` = (count, rows, cols): real and imaginary
+    parts each N(0, 1/2), all real parts drawn first.  The result is a
+    samples-first view of samples-last storage, so that each matrix entry's
+    samples are one contiguous vector for the cut kernel."""
+    count, rows, cols = shape
+    view = np.empty((rows, cols, count), dtype=complex).transpose(2, 0, 1)
     scale = math.sqrt(0.5)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    np.multiply(rng.standard_normal(shape), scale, out=view.real)
+    np.multiply(rng.standard_normal(shape), scale, out=view.imag)
+    return view
 
 
 def _block_channels(config: AntennaConfig, rng: np.random.Generator, count: int):
@@ -112,28 +119,59 @@ def sample_channel(config: AntennaConfig, rng: np.random.Generator) -> ChannelSa
     return ChannelSample(*(h[0] for h in _block_channels(config, rng, 1)))
 
 
-def _log2_det_batch(rho: float, h: np.ndarray) -> np.ndarray:
-    """Batched log2 det(I + rho h h') over the leading axis, via Cholesky of
-    the smaller Gram side."""
-    if h.shape[1] <= h.shape[2]:
-        gram = h @ h.conj().transpose(0, 2, 1)
-    else:
-        gram = h.conj().transpose(0, 2, 1) @ h
-    d = gram.shape[1]
-    a = rho * gram + np.eye(d)
-    chol = np.linalg.cholesky(a)
-    diag = np.diagonal(chol, axis1=1, axis2=2).real
-    return 2.0 * np.log(diag).sum(axis=1) / _LN2
+def _side_gram(blocks) -> dict:
+    """Gram matrix of the smaller side of a block matrix of channel links:
+    its upper triangle as a map from (i, j), i <= j, to a stack of entries.
+
+    ``blocks`` lists the block rows; each block is one link as a samples-last
+    (rows, cols, count) array paired with its conjugate.  An entry is a sum
+    of per-link inner products, each a run of elementwise multiply-adds, so
+    the cut matrix is never assembled and a sample's entries do not depend
+    on the other samples of its stack.
+    """
+    rows = [[(x[i], xc[i]) for x, xc in row] for row in blocks for i in range(len(row[0][0]))]
+    cols = [
+        [(row[b][0][:, j], row[b][1][:, j]) for row in blocks]
+        for b, (x, _) in enumerate(blocks[0])
+        for j in range(x.shape[1])
+    ]
+    vectors = min(rows, cols, key=len)
+    return {
+        (a, b): sum(s[l] * tc[l] for (s, _), (_, tc) in zip(u, v) for l in range(len(s)))
+        for a, u in enumerate(vectors)
+        for b, v in enumerate(vectors[a:], a)
+    }
+
+
+def _log2_det_eye_plus(rho: float, gram: dict) -> np.ndarray:
+    """log2 det(I + rho G) for a stack of Hermitian G given by its upper
+    triangle (as from ``_side_gram``): a square-root-free Cholesky (LDL')
+    factorisation unrolled over the entries, one elementwise step on the
+    whole stack at a time.  Every pivot is at least 1, since I + rho G >= I."""
+    a = {key: rho * entry for key, entry in gram.items()}
+    d = max(key[1] for key in a) + 1
+    total = 0.0
+    for p in range(d):
+        pivot = a[p, p].real + 1.0
+        total = total + np.log(pivot)
+        inverse = 1.0 / pivot
+        for i in range(p + 1, d):
+            f = a[p, i].conj() * inverse
+            a[i, i] -= f * a[p, i]
+            for j in range(i + 1, d):
+                a[i, j] -= f * a[p, j]
+    return total / _LN2
 
 
 def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
     """The three cut log determinants for a stack of channel triples: the
     direct link, the joint transmission cut [H_SD H_RD] and the listening
-    cut [H_SR; H_SD]."""
+    cut [H_SR; H_SD], each from the Gram of its smaller side."""
+    sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd)))
     return (
-        _log2_det_batch(rho, h_sd),
-        _log2_det_batch(rho, np.concatenate([h_sd, h_rd], axis=2)),
-        _log2_det_batch(rho, np.concatenate([h_sr, h_sd], axis=1)),
+        _log2_det_eye_plus(rho, _side_gram([[sd]])),
+        _log2_det_eye_plus(rho, _side_gram([[sd, rd]])),
+        _log2_det_eye_plus(rho, _side_gram([[sr], [sd]])),
     )
 
 
@@ -201,23 +239,31 @@ def rate_upper(terms: CutsetTerms) -> float:
 _EIG_FLOOR = 1e-300
 
 
+def _eigen_exponent_rows(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
+    """Negative SNR exponents of the ordered nonzero eigenvalues of W1, W2
+    and W3 for a stack of channel triples: three (count, min-dimension)
+    arrays, each row ascending (eigenvalues descending)."""
+    n, m = h_sd.shape[1:]
+    k = h_sr.shape[1]
+    log_rho = math.log(rho)
+    counts = (min(m, n), min(m, k), min(n, k))
+    rows = []
+    for w, count in zip(_composite_grams(rho, h_sd, h_sr, h_rd), counts):
+        eig = np.linalg.eigvalsh(w)[:, ::-1][:, :count]  # descending nonzero part
+        eig = np.maximum(eig, _EIG_FLOOR)  # clamp hermitian-solver negatives
+        # math.log, not np.log: the two round some values differently in the
+        # last bit, and eigen_exponents keeps its long-standing values
+        rows.append(np.array([[-math.log(x) / log_rho for x in row] for row in eig.tolist()]))
+    return tuple(rows)
+
+
 def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
     """Negative SNR exponents of the ordered eigenvalues of the three
     composite channel matrices; requires rho > 1 so the log base is sound."""
     if not rho > 1.0:
         raise DomainError(f"rho must exceed 1, got {rho}")
-    n, m = sample.h_sd.shape
-    k = sample.h_sr.shape[0]
-    grams = _composite_grams(rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None])
-    log_rho = math.log(rho)
-
-    def exponents(w, count):
-        eig = np.linalg.eigvalsh(w[0])[-count:][::-1]  # descending nonzero part
-        eig = np.maximum(eig, _EIG_FLOOR)  # clamp hermitian-solver negatives
-        return tuple(-math.log(x) / log_rho for x in eig)
-
-    counts = (min(m, n), min(m, k), min(n, k))
-    return ExponentTriple(*(exponents(w, c) for w, c in zip(grams, counts)))
+    rows = _eigen_exponent_rows(rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None])
+    return ExponentTriple(*(tuple(r[0].tolist()) for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,27 @@ from relaydmt import (
     ExponentTriple,
     channel_rng,
     conditional_independence_check,
-    cutset_terms,
     density_exponent,
     diversity_fit,
     diversity_objective,
     dmt_1k1,
     dmt_n1n,
     dmt_symmetric_upper,
-    eigen_exponents,
     exponent_profile,
     fd_dmt,
     in_support,
     outage_probability,
     ptp_dmt,
     rate_exponent,
-    rate_upper,
-    sample_channel,
     solve_general_grid,
     solve_static_n1n,
     solve_two_var,
+)
+from relaydmt.simulate import (
+    _block_channels,
+    _cut_log2dets,
+    _eigen_exponent_rows,
+    _switch_and_rate,
 )
 
 SEED = 7
@@ -252,19 +254,13 @@ def test_c11_exponent_consistency():
     details = []
     for mkn in [(1, 1, 1), (2, 1, 2)]:
         c = AntennaConfig(*mkn)
+        channels = _block_channels(c, channel_rng(SEED), 10**4)
         medians = {}
         for rho in (1e4, 1e8):
-            rng = channel_rng(SEED)
-            devs = []
-            for _ in range(10**4):
-                s = sample_channel(c, rng)
-                devs.append(
-                    abs(
-                        rate_upper(cutset_terms(s, rho)) / math.log2(rho)
-                        - rate_exponent(eigen_exponents(s, rho))
-                    )
-                )
-            medians[rho] = float(np.median(devs))
+            _, rates = _switch_and_rate(*_cut_log2dets(rho, *channels))
+            exponents = zip(*(e.tolist() for e in _eigen_exponent_rows(rho, *channels)))
+            levels = [rate_exponent(ExponentTriple(*map(tuple, row))) for row in exponents]
+            medians[rho] = float(np.median(np.abs(rates / math.log2(rho) - levels)))
         ok &= medians[1e8] < medians[1e4]
         details.append(f"{mkn}: {medians[1e4]:.4f} -> {medians[1e8]:.4f}")
     elapsed_ok = time.time() - t0 < 120.0
@@ -299,12 +295,11 @@ def test_c13_property_suites():
     identity_gap = 0.0
     for mkn in [(1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 4, 2)]:
         c = AntennaConfig(*mkn)
-        for _ in range(2500):
-            t = ExponentTriple(
-                tuple(np.sort(rng.uniform(0, 1, c.u))),
-                tuple(np.sort(rng.uniform(0, 1, c.p))),
-                tuple(np.sort(rng.uniform(0, 1, c.q))),
-            )
+        alpha, beta, delta = (
+            np.sort(rng.uniform(size=(2500, w)), axis=1).tolist() for w in (c.u, c.p, c.q)
+        )
+        for row in zip(alpha, beta, delta):
+            t = ExponentTriple(*map(tuple, row))
             identity_gap = max(
                 identity_gap, abs(diversity_objective(c, t) - density_exponent(c, t))
             )
@@ -326,13 +321,9 @@ def test_c13_property_suites():
             expect = a + (b * s / (b + s) if b > 0 and s > 0 else 0.0)
             profile_gap = max(profile_gap, abs(rate_exponent(t) - expect))
 
-    psd_ok = True
     c = AntennaConfig(2, 2, 2)
-    stream = channel_rng(SEED)
-    for _ in range(10**4):
-        terms = cutset_terms(sample_channel(c, stream), 50.0)
-        psd_ok &= terms.log_l_srd >= terms.log_l_sd - 1e-9
-        psd_ok &= terms.log_l_s_rd >= terms.log_l_sd - 1e-9
+    l_sd, l_srd, l_s_rd = _cut_log2dets(50.0, *_block_channels(c, channel_rng(SEED), 10**4))
+    psd_ok = bool(np.all(l_srd >= l_sd - 1e-9) and np.all(l_s_rd >= l_sd - 1e-9))
 
     c = AntennaConfig(1, 1, 1)
     reference = outage_probability(c, 100.0, 0.5, 70_000, seed=SEED, workers=1)

@@ -19,6 +19,8 @@ from relaydmt.simulate import (
     outage_probability,
     rate_upper,
     sample_channel,
+    _block_channels,
+    _cut_log2dets,
 )
 
 
@@ -99,10 +101,10 @@ def test_cutset_psd_monotonicity():
 
 
 @pytest.mark.parametrize(
-    "mkn", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 2), (1, 3, 2)]
+    "mkn", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 2), (1, 3, 2), (4, 4, 4), (1, 1, 4)]
 )
 def test_cutset_agrees_with_direct_determinant(mkn):
-    # Gram sides 1-3, and the smaller Gram side on either side of each cut
+    # Gram sides 1-4, and the smaller Gram side on either side of each cut
     c = AntennaConfig(*mkn)
     rng = channel_rng(33)
 
@@ -117,6 +119,46 @@ def test_cutset_agrees_with_direct_determinant(mkn):
         assert t.log_l_srd == pytest.approx(direct(rho, joint), rel=1e-9)
         listen = np.concatenate([s.h_sr, s.h_sd], axis=0)
         assert t.log_l_s_rd == pytest.approx(direct(rho, listen), rel=1e-9)
+
+
+def eigen_log2det(rho, h):
+    """log2 det(I + rho h h') per sample, from the eigenvalues of the Gram
+    matrix of the smaller side of h."""
+    if h.shape[1] > h.shape[2]:
+        h = h.conj().transpose(0, 2, 1)
+    eig = np.clip(np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1)), 0.0, None)
+    return np.log1p(rho * eig).sum(axis=1) / math.log(2.0)
+
+
+@pytest.mark.parametrize(
+    "mkn", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 1, 2), (1, 1, 4), (4, 2, 1)]
+)
+def test_cut_kernel_matches_eigenvalue_route(mkn):
+    # Gram sides 1-4, the smaller side on either side of each cut, and cuts
+    # whose fixed side would exceed their rank: n > m + k, m > k + n
+    c = AntennaConfig(*mkn)
+    h_sd, h_sr, h_rd = _block_channels(c, channel_rng(41), 4096)
+    for rho in (1.0, 1e4, 1e8):
+        got = _cut_log2dets(rho, h_sd, h_sr, h_rd)
+        want = (
+            eigen_log2det(rho, h_sd),
+            eigen_log2det(rho, np.concatenate([h_sd, h_rd], axis=2)),
+            eigen_log2det(rho, np.concatenate([h_sr, h_sd], axis=1)),
+        )
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-9
+
+
+@pytest.mark.parametrize("mkn", [(2, 2, 2), (1, 1, 4), (4, 2, 1)])
+def test_cutset_terms_equals_its_block_row(mkn):
+    # the scalar path is a batch of one: the per-sample outage oracle
+    # recounts blocks with it, so it must agree bit for bit
+    c = AntennaConfig(*mkn)
+    block = _block_channels(c, channel_rng(43), 256)
+    l_sd, l_srd, l_s_rd = _cut_log2dets(1e3, *block)
+    for i in range(256):
+        t = cutset_terms(ChannelSample(*(np.ascontiguousarray(h[i]) for h in block)), 1e3)
+        assert (t.log_l_sd, t.log_l_srd, t.log_l_s_rd) == (l_sd[i], l_srd[i], l_s_rd[i])
 
 
 def test_cutset_rejects_bad_input():
