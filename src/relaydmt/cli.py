@@ -88,8 +88,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if not args.variants:
         raise ConfigurationError("no variants requested")
-    if not args.r:
-        raise DomainError("r grid is empty")
     curves = [dmt_curve(config, v, args.r) for v in args.variants]
     text = _curves_to_json(curves) if args.format == "json" else _curves_to_csv(curves)
     _emit(args, text)
@@ -100,8 +98,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if len(args.variants) < 2:
         raise ConfigurationError("compare needs at least two variants")
-    if not args.r:
-        raise DomainError("r grid is empty")
     curves = {v: dmt_curve(config, v, args.r) for v in args.variants}
     values = {v: [p.d for p in c.points] for v, c in curves.items()}
     gaps = {}

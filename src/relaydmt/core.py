@@ -131,6 +131,13 @@ class DmtCurve:
         }
 
 
+def _check_r(r: float, top: float) -> float:
+    """r clamped to [0, top]; beyond float dust outside it is a DomainError."""
+    if r < -_TOL or r > top + _TOL:
+        raise DomainError(f"r={r} outside [0, {top}]")
+    return min(max(r, 0.0), float(top))
+
+
 def ptp_dmt(nt: int, nr: int, r: float) -> float:
     """Tradeoff of an nt x nr point-to-point link.
 
@@ -140,9 +147,7 @@ def ptp_dmt(nt: int, nr: int, r: float) -> float:
     if nt < 1 or nr < 1:
         raise DomainError(f"antenna counts must be positive, got ({nt}, {nr})")
     top = min(nt, nr)
-    if r < -_TOL or r > top + _TOL:
-        raise DomainError(f"r={r} outside [0, {top}]")
-    r = min(max(r, 0.0), float(top))
+    r = _check_r(r, top)
     j = min(int(r), top - 1)
     d0 = float((nt - j) * (nr - j))
     d1 = float((nt - j - 1) * (nr - j - 1))
@@ -152,10 +157,7 @@ def ptp_dmt(nt: int, nr: int, r: float) -> float:
 def fd_dmt(config: AntennaConfig, r: float) -> float:
     """Tradeoff with a relay that can listen and transmit simultaneously:
     the tighter of the two antenna-pooling cuts."""
-    top = config.max_mux
-    if r < -_TOL or r > top + _TOL:
-        raise DomainError(f"r={r} outside [0, {top}]")
-    r = min(max(r, 0.0), float(top))
+    r = _check_r(r, config.max_mux)
     m, k, n = config.m, config.k, config.n
     return min(ptp_dmt(m + k, n, r), ptp_dmt(m, n + k, r))
 

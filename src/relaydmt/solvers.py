@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -26,6 +26,7 @@ from .core import (
     DmtPoint,
     DomainError,
     ExponentTriple,
+    _check_r,
     _coeffs,
     exponent_profile,
     fd_dmt,
@@ -35,6 +36,8 @@ from .core import (
 _TOL = 1e-9
 # slack for float dust on a computed vertex before it is tested against the caps
 _ROOT_TOL = 1e-12
+# listen fraction of the fixed relay schedule
+_LISTEN = 0.5
 
 
 class SolverRefusal(RuntimeError):
@@ -151,19 +154,23 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
     On that surface the objective is concave inside every linear cell, hence
     the minimum sits at a vertex: a point where two kink planes cross the
     surface, or an end of the a = r axis segments (r, 0, s_cap) and
-    (r, b_cap, 0).  All vertices with 0 <= a <= r inside the level caps are
-    scored at once; ``evaluations`` counts them.  Ties within 1e-9 resolve to
-    the smallest a, then the smallest b.
+    (r, b_cap, 0).  They are scored at once by :func:`_best_vertex`, and
+    ``evaluations`` counts those inside the caps.
     """
-    top = float(config.max_mux)
-    if r < -_TOL or r > top + _TOL:
-        raise DomainError(f"r={r} outside [0, {top}]")
-    r = min(max(r, 0.0), top)
-    m, n, p, q = config.m, config.n, float(config.p), float(config.q)
-
+    r = _check_r(r, float(config.max_mux))
     a, b, s = _surface_crossings(r, *_kink_lines(config)).T
-    b_cap = np.minimum(p, m - a)
-    s_cap = np.minimum(q, n - a)
+    crossing = b + s > _ROOT_TOL
+    a = np.append(a[crossing], [r, r])
+    b = np.append(b[crossing], [0.0, min(config.p, config.m - r)])
+    s = np.append(s[crossing], [min(config.q, config.n - r), 0.0])
+    return _best_vertex(config, r, a, b, s, "two-var")
+
+
+def _best_vertex(config: AntennaConfig, r: float, a, b, s, method: str) -> SolveResult:
+    """Score the candidates with 0 <= a <= r inside the level caps, with the
+    ``_ROOT_TOL`` dust clipped; ties within 1e-9 go to the smallest a, then b."""
+    b_cap = np.minimum(config.p, config.m - a)
+    s_cap = np.minimum(config.q, config.n - a)
     inside = (
         (a >= -_ROOT_TOL)
         & (a <= r + _ROOT_TOL)
@@ -171,11 +178,10 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
         & (b <= b_cap + _ROOT_TOL)
         & (s >= -_ROOT_TOL)
         & (s <= s_cap + _ROOT_TOL)
-        & (b + s > _ROOT_TOL)
     )
-    a = np.append(a[inside], [r, r])
-    b = np.append(np.clip(b[inside], 0.0, b_cap[inside]), [0.0, min(p, m - r)])
-    s = np.append(np.clip(s[inside], 0.0, s_cap[inside]), [min(q, n - r), 0.0])
+    a = a[inside]
+    b = np.clip(b[inside], 0.0, b_cap[inside])
+    s = np.clip(s[inside], 0.0, s_cap[inside])
     values = _objective_rows(
         config,
         _profile_rows(a, config.u),
@@ -187,9 +193,36 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
     return SolveResult(
         d=max(float(values[best]), 0.0),
         argmin=LevelTriple(a=float(a[best]), b=float(b[best]), s=float(s[best])),
-        method="two-var",
+        method=method,
         evaluations=int(values.size),
     )
+
+
+def solve_static(config: AntennaConfig, r: float) -> SolveResult:
+    """Diversity order at multiplexing gain r when the relay listens for the
+    fixed fraction t = 1/2 of the block.
+
+    The rate level a + min(t b, (1 - t) s) makes the outage set the union of
+    a listen half-space a + t b <= r, with the out-hop level s free and so at
+    its cap, and a transmit half-space a + (1 - t) s <= r, with b at its cap.
+    On either plane the objective is piecewise linear in a, so
+    :func:`_best_vertex` scores the planes' kink-line crossings.
+    """
+    r = _check_r(r, float(config.max_mux))
+    points, directions = _kink_lines(config)
+    t = _LISTEN
+    ends = []
+    for normal in ((1.0, t, 0.0), (1.0, 0.0, 1.0 - t)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (r - points @ normal) / (directions @ normal)
+        found = np.isfinite(step)  # lines parallel to the plane give no point
+        a = points[found, 0] + step[found] * directions[found, 0]
+        ends.append(np.unique(np.append(a, r)))
+    # the branches are indexed, not told apart by weight: at t = 1/2 both are 1/2
+    listen, transmit = ends
+    b = np.concatenate([(r - listen) / t, np.minimum(config.p, config.m - transmit)])
+    s = np.concatenate([np.minimum(config.q, config.n - listen), (r - transmit) / (1 - t)])
+    return _best_vertex(config, r, np.concatenate(ends), b, s, "static-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +244,7 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
         )
     if not 0.0 < step <= 0.25:
         raise DomainError(f"step {step} outside (0, 0.25]")
-    top = float(config.max_mux)
-    if r < -_TOL or r > top + _TOL:
-        raise DomainError(f"r={r} outside [0, {top}]")
-    r = min(max(r, 0.0), top)
+    r = _check_r(r, float(config.max_mux))
 
     n_levels = max(1, round(1.0 / step))
     values = np.linspace(0.0, 1.0, n_levels + 1)
@@ -233,23 +263,18 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
     fb = B @ np.asarray(w_beta)
     fd_ = D @ np.asarray(w_delta)
 
-    # support inequalities bind at the smallest admissible alpha index
-    ok_ab = np.ones((len(A), len(B)), dtype=bool)
-    cross_ab = np.zeros((len(A), len(B)))
-    for j in range(p):
-        i0 = m - 1 - j
-        if 0 <= i0 < u:
-            ok_ab &= A[:, i0][:, None] + B[:, j][None, :] >= 1.0 - _TOL
-    for i, j in ab_pairs:
-        cross_ab += np.clip(1.0 - A[:, i][:, None] - B[:, j][None, :], 0.0, None)
-    ok_ad = np.ones((len(A), len(D)), dtype=bool)
-    cross_ad = np.zeros((len(A), len(D)))
-    for l in range(q):
-        i0 = n - 1 - l
-        if 0 <= i0 < u:
-            ok_ad &= A[:, i0][:, None] + D[:, l][None, :] >= 1.0 - _TOL
-    for i, l in ad_pairs:
-        cross_ad += np.clip(1.0 - A[:, i][:, None] - D[:, l][None, :], 0.0, None)
+    def hop_terms(H, side, pairs):
+        # support inequalities bind at the smallest admissible alpha index
+        ok = np.ones((len(A), len(H)), dtype=bool)
+        cross = np.zeros((len(A), len(H)))
+        for j in range(max(0, side - u), H.shape[1]):
+            ok &= A[:, side - 1 - j][:, None] + H[:, j][None, :] >= 1.0 - _TOL
+        for i, j in pairs:
+            cross += np.clip(1.0 - A[:, i][:, None] - H[:, j][None, :], 0.0, None)
+        return ok, cross
+
+    ok_ab, cross_ab = hop_terms(B, m, ab_pairs)
+    ok_ad, cross_ad = hop_terms(D, n, ad_pairs)
 
     relay = np.zeros((len(B), len(D)))
     hop_sum = sb[:, None] + sd[None, :]
@@ -288,9 +313,7 @@ def dmt_1k1(k: int, r: float) -> float:
     """Closed-form tradeoff of the (1, k, 1) relay channel."""
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    if r < -_TOL or r > 1.0 + _TOL:
-        raise DomainError(f"r={r} outside [0, 1]")
-    r = min(max(r, 0.0), 1.0)
+    r = _check_r(r, 1)
     if r <= 1.0 / (k + 1):
         return (k + 1) * (1.0 - r)
     if r <= 0.5:
@@ -311,9 +334,7 @@ def dmt_ddf_1k1(k: int, r: float) -> float:
     forwarding; optimal below r = 1/2, (1 - r)/r above."""
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    if r < -_TOL or r > 1.0 + _TOL:
-        raise DomainError(f"r={r} outside [0, 1]")
-    r = min(max(r, 0.0), 1.0)
+    r = _check_r(r, 1)
     if r <= 0.5:
         return dmt_1k1(k, r)
     return (1.0 - r) / r
@@ -351,9 +372,7 @@ def dmt_symmetric_upper(n: int, k: int, r: float) -> float:
     bounds whose stated r-interval contains r."""
     if n < 1 or k < 1:
         raise DomainError(f"antenna counts must be positive, got ({n}, {k})")
-    if r < -_TOL or r > n + _TOL:
-        raise DomainError(f"r={r} outside [0, {n}]")
-    r = min(max(r, 0.0), float(n))
+    r = _check_r(r, n)
     p = min(n, k)
     bounds = [ptp_dmt(n, n + k, r)]
     if r >= n - p / 2.0 - _TOL:
@@ -384,46 +403,14 @@ def dmt_symmetric_upper(n: int, k: int, r: float) -> float:
 
 
 def solve_static_n1n(n: int, r: float) -> SolveResult:
-    """Tradeoff of the (n, 1, n) channel under a fixed half-time relay
-    schedule, minimised exactly over the n direct exponents alpha and the
-    single in-hop exponent beta.
-
-    For a fixed direct deficit a = sum(1 - alpha_i) the cheapest alpha is
-    the profile of a: the unit cost of alpha_i lies in [2n-2i-1, 2n-2i], and
-    these ranges are disjoint and fall as i rises.  The objective falls as a
-    grows, so the rate constraint and the support constraint
-    alpha_{n-1} + beta >= 1 set a = min(r - (1 - beta)/2, n - 1 + beta).
-    What remains is piecewise linear in beta on [max(0, 1 - 2r), 1], and its
-    breakpoints are all scored at once; ``evaluations`` counts them.
-    """
+    """:func:`solve_static` on the (n, 1, n) channel, with the argmin given
+    as the direct exponents alpha = profile(a) and the single in-hop
+    exponent beta = 1 - b."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    if n > 4:
-        raise SolverRefusal(f"static solver refuses n={n} > 4 (size cap)")
-    if r < -_TOL or r > n + _TOL:
-        raise DomainError(f"r={r} outside [0, {n}]")
-    r = min(max(r, 0.0), float(n))
-
-    lo = max(0.0, 1.0 - 2.0 * r)
-    kinks = np.concatenate(
-        [
-            [lo, 1.0, 2.0 * r - 2.0 * n + 1.0],
-            2.0 * (np.arange(n + 1.0) - r) + 1.0,  # deficit a crosses j
-            2.0 * (r - np.arange(n - 1.0)) - 1.0,  # alpha_i crosses 1 - beta
-        ]
-    )
-    beta = np.unique(kinks[(kinks >= lo) & (kinks <= 1.0)])
-    a = np.minimum(r - 0.5 * (1.0 - beta), n - 1.0 + beta)
-    alpha = _profile_rows(a, n)
-    values = alpha @ (2.0 * n - 2.0 * np.arange(n)) + n * beta - n
-    values += np.clip(1.0 - beta[:, None] - alpha[:, : n - 1], 0.0, None).sum(axis=1)
-    best = int(np.argmin(values))
-    return SolveResult(
-        d=max(float(values[best]), 0.0),
-        argmin=ExponentTriple(tuple(alpha[best]), (float(beta[best]),), ()),
-        method="static-exact",
-        evaluations=int(values.size),
-    )
+    res = solve_static(AntennaConfig(n, 1, n), r)
+    argmin = ExponentTriple(exponent_profile(res.argmin.a, n), (1.0 - res.argmin.b,), ())
+    return replace(res, argmin=argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +433,7 @@ _REGISTRY = {
     "symmetric-upper": (_N_K_N, 0.0, lambda c, r: dmt_symmetric_upper(c.n, c.k, r)),
     "ddf-1k1": (_ONE_K_ONE, 0.0, lambda c, r: dmt_ddf_1k1(c.k, r)),
     "static-1k1": (_ONE_K_ONE, 0.5, lambda c, r: dmt_static_1k1(c.k, r)),
+    "hd-static": (None, 0.0, lambda c, r: solve_static(c, r).d),
 }
 VARIANTS = tuple(_REGISTRY)
 

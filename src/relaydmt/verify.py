@@ -8,6 +8,7 @@ Numeric-conjecture diagnostics are always reported but never fail the run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -30,6 +31,7 @@ from .solvers import (
     dmt_n1n,
     dmt_symmetric_upper,
     solve_general_grid,
+    solve_static,
     solve_static_n1n,
     solve_two_var,
 )
@@ -230,6 +232,15 @@ def conjecture_diagnostics(extended: bool = False):
         lines.append(
             f"symmetric bound tight on ({n},{k},{n}): max gap {gap:.2e} ({verdict})"
         )
+    if extended:
+        # the classes where a fixed half-time schedule loses nothing
+        same = []
+        for mkn in itertools.product((1, 2, 3), repeat=3):
+            c = AntennaConfig(*mkn)
+            rs = np.linspace(0, c.max_mux, 9).tolist()
+            if all(abs(solve_static(c, r).d - solve_two_var(c, r).d) <= 1e-9 for r in rs):
+                same.append(f"({c.m},{c.k},{c.n})")
+        lines.append(f"static equals dynamic on {len(same)} of 27 configs: {' '.join(same)}")
     return lines
 
 

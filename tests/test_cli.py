@@ -102,12 +102,33 @@ def test_curve_validation_failures():
     )
 
 
-def test_curve_solver_refusal_exit_code():
+def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
+    # no shipped variant refuses today; the exit-code mapping stays public
+    from relaydmt import solvers
+
+    def refuse(config, r):
+        raise solvers.SolverRefusal("over the size cap")
+
+    _, lo, _ = solvers._REGISTRY["hd-static"]
+    monkeypatch.setitem(solvers._REGISTRY, "hd-static", (None, lo, refuse))
+    code = main(
+        ["curve", "--m", "1", "--k", "1", "--n", "1",
+         "--variants", "hd-static", "--r", "0:1:0.5"]
+    )
+    assert code == EXIT_SOLVER_REFUSED
+    assert "solver refused: over the size cap" in capsys.readouterr().err
+
+
+def test_curve_static_n1n_beyond_old_cap(capsys):
     code = main(
         ["curve", "--m", "5", "--k", "1", "--n", "5",
          "--variants", "hd-static-n1n", "--r", "0:5:1"]
     )
-    assert code == EXIT_SOLVER_REFUSED
+    assert code == EXIT_OK
+    (record,) = json.loads(capsys.readouterr().out)
+    assert [p["d"] for p in record["points"]] == pytest.approx(
+        [30.0, 20.0, 12.0, 6.0, 2.0, 0.0], abs=1e-9
+    )
 
 
 def test_compare_reports_gaps(tmp_path, capsys):

@@ -293,6 +293,6 @@ def test_public_names_are_pinned():
         "dmt_symmetric_upper", "eigen_exponents", "exponent_profile", "fd_dmt",
         "in_support", "optimal_switch_time", "outage_probability", "ptp_dmt",
         "rate_exponent", "rate_upper", "run_verify", "sample_channel",
-        "solve_general_grid", "solve_static_n1n", "solve_two_var",
+        "solve_general_grid", "solve_static", "solve_static_n1n", "solve_two_var",
     ]
     assert all(hasattr(relaydmt, name) for name in relaydmt.__all__)

@@ -53,18 +53,11 @@ def test_sample_channel_shapes():
 
 
 def test_sample_channel_unit_second_moment():
+    # sample_channel is a block of one, so one large block checks its moment
     c = AntennaConfig(2, 2, 2)
-    rng = channel_rng(9)
-    n = 100_000
-    acc = np.zeros(3)
-    for _ in range(n):
-        s = sample_channel(c, rng)
-        acc += [
-            np.mean(np.abs(s.h_sd) ** 2),
-            np.mean(np.abs(s.h_sr) ** 2),
-            np.mean(np.abs(s.h_rd) ** 2),
-        ]
-    assert np.allclose(acc / n, 1.0, rtol=0.02)
+    block = _block_channels(c, channel_rng(9), 100_000)
+    moments = [np.mean(np.abs(h) ** 2) for h in block]
+    assert np.allclose(moments, 1.0, rtol=0.02)
 
 
 def test_distinct_streams_differ():

@@ -24,6 +24,7 @@ from relaydmt.solvers import (
     dmt_static_1k1,
     dmt_symmetric_upper,
     solve_general_grid,
+    solve_static,
     solve_static_n1n,
     solve_two_var,
 )
@@ -305,11 +306,96 @@ def test_static_n1n_matches_dynamic():
             assert static_objective(n, alpha, beta) == pytest.approx(res.d, abs=1e-9)
 
 
-def test_static_n1n_refuses_large_n():
-    with pytest.raises(SolverRefusal):
-        solve_static_n1n(5, 0.5)
+def test_static_n1n_large_n_matches_closed_form():
+    for n in (5, 6, 7, 8):
+        for r in np.linspace(0, n, 41):
+            assert solve_static_n1n(n, float(r)).d == pytest.approx(
+                dmt_n1n(n, float(r)), abs=1e-9
+            )
     with pytest.raises(DomainError):
         solve_static_n1n(2, -0.5)
+    with pytest.raises(DomainError):
+        solve_static_n1n(0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# static solver for every (m, k, n)
+
+
+def static_level_grid(c, r, steps=8):
+    """Brute-force static minimum over levels: a on a grid of [0, r], b and s
+    each on a grid of [0, cap] plus the value 2 (r - a) that puts them on
+    their half-time plane; every triple with a + min(b, s) / 2 <= r inside
+    the caps is scored with the scalar objective."""
+    best = np.inf
+    for a in np.linspace(0.0, r, steps + 1):
+        b_cap, s_cap = min(c.p, c.m - a), min(c.q, c.n - a)
+        plane = 2.0 * (r - a)
+        bs = [b for b in [*np.linspace(0.0, b_cap, steps + 1), plane] if b <= b_cap]
+        ss = [s for s in [*np.linspace(0.0, s_cap, steps + 1), plane] if s <= s_cap]
+        alpha = exponent_profile(a, c.u)
+        betas = [exponent_profile(b, c.p) for b in bs]
+        deltas = [exponent_profile(s, c.q) for s in ss]
+        for b, beta in zip(bs, betas):
+            for s, delta in zip(ss, deltas):
+                if a + min(b, s) / 2.0 <= r + 1e-12:
+                    t = ExponentTriple(alpha, beta, delta)
+                    best = min(best, diversity_objective(c, t))
+    return max(best, 0.0)
+
+
+def test_static_matches_1k1_closed_form():
+    for k in (1, 2, 3, 4, 5):
+        for r in np.linspace(0.5, 1.0, 21):
+            assert solve_static(AntennaConfig(1, k, 1), float(r)).d == pytest.approx(
+                dmt_static_1k1(k, float(r)), abs=1e-12
+            )
+
+
+def test_static_falls_below_dynamic_on_strong_relays():
+    # a fixed half-time schedule loses to a channel-dependent switch here
+    c = AntennaConfig(2, 3, 2)
+    gap = max(
+        solve_two_var(c, float(r)).d - solve_static(c, float(r)).d
+        for r in np.linspace(0, 2, 41)
+    )
+    assert gap == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    mkn=st.one_of(
+        st.sampled_from([(3, 1, 2), (2, 3, 1), (1, 2, 4), (4, 2, 1)]),
+        st.tuples(*[st.integers(1, 4)] * 3),
+    ),
+    frac=st.floats(0.0, 1.0),
+)
+def test_solve_static_properties(mkn, frac):
+    c = AntennaConfig(*mkn)
+    r = frac * c.max_mux
+    res = solve_static(c, r)
+    a, b, s = res.argmin.a, res.argmin.b, res.argmin.s
+    assert res.method == "static-exact"
+
+    # the argmin lies on the listen plane with s at its cap, or on the
+    # transmit plane with b at its cap, inside the level caps
+    b_cap, s_cap = min(c.p, c.m - a), min(c.q, c.n - a)
+    assert -1e-9 <= a <= r + 1e-9
+    assert -1e-9 <= b <= b_cap + 1e-9 and -1e-9 <= s <= s_cap + 1e-9
+    listens = abs(a + b / 2.0 - r) <= 1e-9 and abs(s - s_cap) <= 1e-9
+    transmits = abs(a + s / 2.0 - r) <= 1e-9 and abs(b - b_cap) <= 1e-9
+    assert listens or transmits
+    t = ExponentTriple(
+        exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)
+    )
+    assert max(diversity_objective(c, t), 0.0) == pytest.approx(res.d, abs=1e-9)
+
+    assert res.d <= solve_two_var(c, r).d + 1e-9
+    assert res.d >= ptp_dmt(c.m, c.n, r) - 1e-9
+    assert res.d == pytest.approx(solve_static(c.swapped(), r).d, abs=1e-9)
+    if c.u + c.p + c.q <= 6:
+        # the grid scores a feasible subset, so it can only sit above
+        assert res.d <= static_level_grid(c, r) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +427,7 @@ def test_dmt_curve_all_variants_monotone():
         "static-1k1": (1, 3, 1),
         "closed-n1n": (2, 1, 2),
         "hd-static-n1n": (2, 1, 2),
+        "hd-static": (2, 3, 2),
         "symmetric-upper": (2, 2, 2),
     }
     assert set(cases) == set(VARIANTS)
