@@ -1,19 +1,21 @@
-"""Stage-by-stage timing of one outage-simulator block.
+"""Stage-by-stage timing of the outage simulator.
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation as
 the minimum over ``--repeats`` runs: the Philox draw, the Gram build, the
 log-det and the rate combine, then the whole block as the outage estimator
-runs it (``_block_rates``), for the configurations (1,1,1) .. (4,4,4).  It
-also times one scalar ``cutset_terms`` call (a batch of one).
+runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
+5-point, one-block SNR sweep as ``simulate`` runs it (one
+``outage_probabilities`` call, or one ``outage_probability`` call per point
+in trees without it) against 5 single-point calls, and one scalar
+``cutset_terms`` call (a batch of one).
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
 
 Each source tree is timed in a fresh interpreter that imports ``relaydmt``
 from that tree, so two versions of the package never share a process.  The
-stage split follows the kernel the tree has: per-link Grams plus the
-unrolled Cholesky (``_side_gram``/``_log2_det_eye_plus``), or the earlier
-concatenation plus batched LAPACK Cholesky (``_log2_det_batch``).
+Gram stage runs the tree's ``_cut_grams``, or the same three ``_side_gram``
+calls in trees that predate it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 CONFIGS = ((1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4))
 RHO = 10.0 ** 2.5
+SWEEP = tuple(10.0 ** (db / 10.0) for db in (15, 20, 25, 30, 35))
 SCALAR_CALLS = 200
 
 
@@ -46,39 +49,14 @@ def _best(fn, repeats: int) -> float:
 def _stages(sim, channels):
     """(gram, logdet) callables for the tree's kernel; ``gram`` returns the
     input of ``logdet``."""
-    h_sd, h_sr, h_rd = channels
-    if hasattr(sim, "_side_gram"):
-        def gram():
-            sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in channels))
-            return (
-                sim._side_gram([[sd]]),
-                sim._side_gram([[sd, rd]]),
-                sim._side_gram([[sr], [sd]]),
-            )
-
-        def logdet(grams):
-            return [sim._log2_det_eye_plus(RHO, g) for g in grams]
-
-        return gram, logdet
-
-    def side(h):
-        if h.shape[1] <= h.shape[2]:
-            return h @ h.conj().transpose(0, 2, 1)
-        return h.conj().transpose(0, 2, 1) @ h
-
     def gram():
-        return (
-            side(h_sd),
-            side(np.concatenate([h_sd, h_rd], axis=2)),
-            side(np.concatenate([h_sr, h_sd], axis=1)),
-        )
+        if hasattr(sim, "_cut_grams"):
+            return sim._cut_grams(*channels)
+        sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in channels))
+        return sim._side_gram([[sd]]), sim._side_gram([[sd, rd]]), sim._side_gram([[sr], [sd]])
 
     def logdet(grams):
-        out = []
-        for g in grams:
-            chol = np.linalg.cholesky(RHO * g + np.eye(g.shape[1]))
-            out.append(2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1) / sim._LN2)
-        return out
+        return [sim._log2_det_eye_plus(RHO, g) for g in grams]
 
     return gram, logdet
 
@@ -97,7 +75,17 @@ def measure(repeats: int) -> dict:
         grams = gram()
         logs = logdet(grams)
         sample = sim.sample_channel(config, sim.channel_rng(2))
-        block_s = _best(lambda: sim._block_rates(config, RHO, sim.channel_rng(1), count), repeats)
+        r = 0.5 * config.max_mux
+        block_s = _best(lambda: sim.outage_probability(config, RHO, r, count, 1), repeats)
+
+        def points():
+            return [sim.outage_probability(config, rho, r, count, 1) for rho in SWEEP]
+
+        def sweep():
+            if hasattr(sim, "outage_probabilities"):
+                return sim.outage_probabilities(config, SWEEP, r, count, 1)
+            return points()
+
         result["%d,%d,%d" % mkn] = {
             "samples": count,
             "draw_ms": 1e3 * _best(lambda: sim._block_channels(config, sim.channel_rng(1), count), repeats),
@@ -106,6 +94,8 @@ def measure(repeats: int) -> dict:
             "combine_ms": 1e3 * _best(lambda: sim._switch_and_rate(*logs), repeats),
             "block_ms": 1e3 * block_s,
             "samples_per_s": count / block_s,
+            "sweep_ms": 1e3 * _best(sweep, repeats),
+            "points_ms": 1e3 * _best(points, repeats),
             "scalar_cutset_terms_us": 1e6 / SCALAR_CALLS * _best(
                 lambda: [sim.cutset_terms(sample, RHO) for _ in range(SCALAR_CALLS)], repeats
             ),
@@ -140,7 +130,9 @@ def main(argv=None) -> int:
     report = {
         "method": (
             f"min of {args.repeats} wall-clock runs per stage on one block, rho = {RHO:g}; "
-            "stages timed in isolation, block_ms is the estimator's whole block"
+            "stages timed in isolation, block_ms is the estimator's whole block; "
+            "sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it, "
+            "points_ms the same as 5 single-point calls"
         ),
         "host": {
             "cpus": os.cpu_count(),

@@ -6,7 +6,7 @@ order.  Sample counts are kept modest so the demo runs in seconds; expect
 the fitted slope to sit a little below the asymptotic value at these SNRs.
 """
 
-from relaydmt import AntennaConfig, diversity_fit, outage_probability, solve_two_var
+from relaydmt import AntennaConfig, diversity_fit, outage_probabilities, solve_two_var
 
 
 def main():
@@ -17,13 +17,13 @@ def main():
 
     print(f"config (1,2,1), multiplexing gain r = {r}, {samples} samples/point\n")
     print("  SNR(dB)      rho        p_out      95% CI     events")
-    estimates = []
-    for db in (15, 20, 25, 30, 35):
-        est = outage_probability(config, 10 ** (db / 10), r, samples, seed=seed)
-        estimates.append(est)
+    snr_db = (15, 20, 25, 30, 35)
+    rhos = [10 ** (db / 10) for db in snr_db]
+    estimates = outage_probabilities(config, rhos, r, samples, seed=seed)
+    for db, est in zip(snr_db, estimates):
         print(
             f"   {db:5.1f}  {est.rho:9.1f}  {est.p_out:.3e}  "
-            f"±{est.ci_half_width:.1e}  {est.p_out * est.n_samples:7.0f}"
+            f"±{est.ci_half_width:.1e}  {est.events:7d}"
         )
 
     fit = diversity_fit(estimates)

@@ -10,7 +10,14 @@ import sys
 import tempfile
 
 from .core import AntennaConfig, ConfigurationError, DomainError
-from .simulate import InsufficientDataError, diversity_fit, outage_probability
+# outage_probability is unused here but stays importable: perfbench/tracing.py
+# wraps the library entry points by their names on this module
+from .simulate import (  # noqa: F401
+    InsufficientDataError,
+    diversity_fit,
+    outage_probabilities,
+    outage_probability,
+)
 from .solvers import SolverRefusal, VARIANTS, dmt_curve, solve_two_var
 from .verify import run_verify
 
@@ -137,12 +144,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     r = args.r[0]
     if not args.snr_db:
         raise DomainError("simulate needs a --snr-db grid")
-    estimates = [
-        outage_probability(
-            config, 10.0 ** (db / 10.0), r, args.samples, args.seed, args.workers
-        )
-        for db in args.snr_db
-    ]
+    rhos = [10.0 ** (db / 10.0) for db in args.snr_db]
+    estimates = outage_probabilities(config, rhos, r, args.samples, args.seed, args.workers)
     fit = diversity_fit(estimates)
     analytic = solve_two_var(config, r).d
     record = {

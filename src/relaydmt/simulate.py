@@ -7,7 +7,8 @@ empirical statistics used to check the exponent machinery.
 Reproducibility contract: the sample index space is partitioned into fixed
 blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
-sample count, whatever ``workers`` value is passed.
+sample count, whatever ``workers`` value is passed and whether an SNR is
+estimated alone or within a sweep.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class OutageEstimate:
     p_out: float
     n_samples: int
     ci_half_width: float  # half-length of the 95% Wilson score interval
+
+    @property
+    def events(self) -> int:
+        """Number of samples in outage."""
+        return round(self.p_out * self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -163,16 +169,17 @@ def _log2_det_eye_plus(rho: float, gram: dict) -> np.ndarray:
     return total / _LN2
 
 
-def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
-    """The three cut log determinants for a stack of channel triples: the
-    direct link, the joint transmission cut [H_SD H_RD] and the listening
-    cut [H_SR; H_SD], each from the Gram of its smaller side."""
+def _cut_grams(h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
+    """The SNR-free Grams of the three cuts for a stack of channel triples:
+    the direct link, the joint transmission cut [H_SD H_RD] and the
+    listening cut [H_SR; H_SD], each on its smaller side."""
     sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd)))
-    return (
-        _log2_det_eye_plus(rho, _side_gram([[sd]])),
-        _log2_det_eye_plus(rho, _side_gram([[sd, rd]])),
-        _log2_det_eye_plus(rho, _side_gram([[sr], [sd]])),
-    )
+    return _side_gram([[sd]]), _side_gram([[sd, rd]]), _side_gram([[sr], [sd]])
+
+
+def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
+    """The three cut log determinants for a stack of channel triples."""
+    return tuple(_log2_det_eye_plus(rho, gram) for gram in _cut_grams(h_sd, h_sr, h_rd))
 
 
 def _switch_and_rate(l_sd, l_srd, l_s_rd):
@@ -270,10 +277,7 @@ def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
 # outage estimation
 
 
-def _block_rates(config: AntennaConfig, rho: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Cut-set rate ceilings for a block of samples."""
-    _, rate = _switch_and_rate(*_cut_log2dets(rho, *_block_channels(config, rng, count)))
-    return rate
+_CHUNK = 4096  # samples per cut-Gram build: the Grams stay small beside the block
 
 
 def _block_bounds(n_samples: int):
@@ -288,6 +292,61 @@ def _block_bounds(n_samples: int):
     return blocks
 
 
+def outage_probabilities(
+    config: AntennaConfig,
+    rhos: Sequence[float],
+    r: float,
+    n_samples: int,
+    seed: int,
+    workers: int = 1,
+) -> list[OutageEstimate]:
+    """Estimate, at each SNR in ``rhos``, the probability that the cut-set
+    rate ceiling falls below r log2(rho) over ``n_samples`` Rayleigh draws;
+    one ``OutageEstimate`` per SNR, in order.
+
+    Every SNR sees the same samples: each block is drawn once and its cut
+    Grams, which do not depend on the SNR, are built once per slice of
+    ``_CHUNK`` samples and serve the whole grid.  A sample's entries do not
+    depend on the other samples, so the slicing changes no count.  The
+    blocks are mapped in order on the caller's thread.  ``workers`` is
+    validated but changes neither the result nor the speed: a thread pool
+    over the blocks used a second core without finishing sooner.
+    """
+    rhos = tuple(rhos)
+    if not rhos:
+        raise DomainError("need at least one SNR point")
+    for rho in rhos:
+        if not rho > 1.0:
+            raise DomainError(f"rho must exceed 1, got {rho}")
+    if r <= 0.0:
+        raise DomainError(f"r={r}: outage is degenerate at non-positive rates")
+    if r >= config.max_mux:
+        raise DomainError(f"r={r} must lie strictly below {config.max_mux}")
+    if n_samples < 1000:
+        raise DomainError(f"need at least 1000 samples, got {n_samples}")
+    if workers < 1:
+        raise DomainError(f"workers must be positive, got {workers}")
+    thresholds = [r * math.log2(rho) for rho in rhos]
+    counts = [0] * len(rhos)
+    for index, size in _block_bounds(n_samples):
+        block = _block_channels(config, channel_rng(seed, index), size)
+        for start in range(0, size, _CHUNK):
+            grams = _cut_grams(*(h[start : start + _CHUNK] for h in block))
+            for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
+                _, rate = _switch_and_rate(*(_log2_det_eye_plus(rho, g) for g in grams))
+                counts[i] += int((rate < threshold).sum())
+    return [
+        OutageEstimate(
+            rho=rho,
+            r=r,
+            p_out=count / n_samples,
+            n_samples=n_samples,
+            ci_half_width=_wilson_half_width(count / n_samples, n_samples),
+        )
+        for rho, count in zip(rhos, counts)
+    ]
+
+
 def outage_probability(
     config: AntennaConfig,
     rho: float,
@@ -297,35 +356,9 @@ def outage_probability(
     workers: int = 1,
 ) -> OutageEstimate:
     """Estimate the probability that the cut-set rate ceiling falls below
-    r log2(rho) over ``n_samples`` Rayleigh draws.
-
-    The blocks are mapped in order on the caller's thread.  ``workers`` is
-    validated but changes neither the result nor the speed: a thread pool
-    over the blocks used a second core without finishing sooner.
-    """
-    if not rho > 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    if r <= 0.0:
-        raise DomainError(f"r={r}: outage is degenerate at non-positive rates")
-    if r >= config.max_mux:
-        raise DomainError(f"r={r} must lie strictly below {config.max_mux}")
-    if n_samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {n_samples}")
-    if workers < 1:
-        raise DomainError(f"workers must be positive, got {workers}")
-    threshold = r * math.log2(rho)
-    total = sum(
-        int((_block_rates(config, rho, channel_rng(seed, index), size) < threshold).sum())
-        for index, size in _block_bounds(n_samples)
-    )
-    p_out = total / n_samples
-    return OutageEstimate(
-        rho=rho,
-        r=r,
-        p_out=p_out,
-        n_samples=n_samples,
-        ci_half_width=_wilson_half_width(p_out, n_samples),
-    )
+    r log2(rho) over ``n_samples`` Rayleigh draws: a one-point
+    ``outage_probabilities``."""
+    return outage_probabilities(config, (rho,), r, n_samples, seed, workers)[0]
 
 
 def _wilson_half_width(p: float, n: int) -> float:

@@ -22,6 +22,7 @@ from relaydmt import (
     exponent_profile,
     fd_dmt,
     in_support,
+    outage_probabilities,
     outage_probability,
     ptp_dmt,
     rate_exponent,
@@ -233,10 +234,8 @@ def test_c10_monte_carlo_slopes():
         ((1, 2, 1), 0.75, (0.35, 0.65)),
     ]:
         c = AntennaConfig(*mkn)
-        estimates = [
-            outage_probability(c, 10.0 ** (db / 10.0), r, 10**6, seed=SEED)
-            for db in (15, 20, 25, 30, 35)
-        ]
+        rhos = [10.0 ** (db / 10.0) for db in (15, 20, 25, 30, 35)]
+        estimates = outage_probabilities(c, rhos, r, 10**6, seed=SEED)
         fit = diversity_fit(estimates)
         results[mkn] = (fit.slope, band)
     ok = all(lo <= slope <= hi for slope, (lo, hi) in results.values())

@@ -291,8 +291,9 @@ def test_public_names_are_pinned():
         "cutset_terms", "density_exponent", "diversity_fit", "diversity_objective",
         "dmt_1k1", "dmt_curve", "dmt_ddf_1k1", "dmt_n1n", "dmt_static_1k1",
         "dmt_symmetric_upper", "eigen_exponents", "exponent_profile", "fd_dmt",
-        "in_support", "optimal_switch_time", "outage_probability", "ptp_dmt",
-        "rate_exponent", "rate_upper", "run_verify", "sample_channel",
+        "in_support", "optimal_switch_time", "outage_probabilities",
+        "outage_probability", "ptp_dmt", "rate_exponent", "rate_upper",
+        "run_verify", "sample_channel",
         "solve_general_grid", "solve_static", "solve_static_n1n", "solve_two_var",
     ]
     assert all(hasattr(relaydmt, name) for name in relaydmt.__all__)

@@ -16,11 +16,13 @@ from relaydmt.simulate import (
     diversity_fit,
     eigen_exponents,
     optimal_switch_time,
+    outage_probabilities,
     outage_probability,
     rate_upper,
     sample_channel,
     _block_channels,
     _cut_log2dets,
+    _switch_and_rate,
 )
 
 
@@ -270,7 +272,7 @@ def test_outage_reproducible_and_worker_invariant():
 
 def test_outage_interval_positive_with_zero_events():
     est = outage_probability(AntennaConfig(2, 2, 2), 10.0**3.5, 1.0, 2000, seed=0)
-    assert est.p_out == 0.0
+    assert est.p_out == 0.0 and est.events == 0
     # no events still leaves the rule of three's order of uncertainty
     assert 0.0 < est.ci_half_width < 3.0 / 2000
 
@@ -317,6 +319,29 @@ def test_outage_rejects_degenerate_requests():
         outage_probability(c, 100.0, 0.5, 100, seed=1)
     with pytest.raises(DomainError):
         outage_probability(c, 0.5, 0.5, 5000, seed=1)
+    # a sweep rejects an empty grid and a bad SNR anywhere in it
+    for rhos in ((), (100.0, 0.5), (10.0, 100.0, 1.0)):
+        with pytest.raises(DomainError):
+            outage_probabilities(c, rhos, 0.5, 5000, seed=1)
+
+
+@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (1, 1, 4)])
+def test_outage_sweep_equals_pointwise_calls(mkn):
+    # a partial block, and in it a partial slice of the Gram build
+    c = AntennaConfig(*mkn)
+    rhos = (10.0, 100.0, 1000.0)
+    r = 0.9 * c.max_mux
+    n = BLOCK_SIZE + 1234
+    sweep = outage_probabilities(c, rhos, r, n, seed=11)
+    assert sweep == [outage_probability(c, rho, r, n, seed=11) for rho in rhos]
+    # the same counts from the cut kernel on whole, unsliced blocks
+    blocks = [
+        _block_channels(c, channel_rng(11, i), size) for i, size in ((0, BLOCK_SIZE), (1, 1234))
+    ]
+    for e, rho in zip(sweep, rhos):
+        rates = [_switch_and_rate(*_cut_log2dets(rho, *block))[1] for block in blocks]
+        assert e.events == sum(int((rate < r * math.log2(rho)).sum()) for rate in rates)
+        assert isinstance(e.events, int) and e.events > 0 and e.events / n == e.p_out
 
 
 def test_block_layout_is_stable():
