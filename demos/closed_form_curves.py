@@ -1,9 +1,9 @@
 """Tradeoff curves for the single-antenna-endpoint relay channels.
 
 Walks the (1,k,1) family against its closed form, shows how the decode-and-
-forward curve peels off above r = 1/2, and checks that a single-antenna
-relay between n-antenna endpoints behaves exactly like one extra transmit
-antenna.
+forward curve peels off above r = 1/2 and the fixed-schedule curve below it,
+and checks that a single-antenna relay between n-antenna endpoints behaves
+exactly like one extra transmit antenna.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ def main():
             d = solve_two_var(c, float(r)).d
             closed = dmt_1k1(k, float(r))
             ddf = dmt_ddf_1k1(k, float(r))
-            static = dmt_static_1k1(k, float(r)) if r >= 0.5 else float("nan")
+            static = dmt_static_1k1(k, float(r))
             print(
                 f"         {r:4.1f}   {d:7.4f}  {closed:7.4f}  {ddf:7.4f}"
                 f"  {static:7.4f}  {ptp_dmt(1, 1, float(r)):5.2f}"
@@ -41,7 +41,9 @@ def main():
         )
 
     print("note: decode-and-forward matches the optimum up to r = 1/2, then")
-    print("decays as (1-r)/r; a fixed half-time schedule costs nothing there.\n")
+    print("decays as (1-r)/r. A fixed half-time schedule costs nothing above")
+    print("r = 1/2 but loses below it: at (1,2,1), r = 0.25, the static curve")
+    print(f"gives {dmt_static_1k1(2, 0.25):.2f} against {dmt_1k1(2, 0.25):.2f}.\n")
 
     print("=== (n,1,n): a single-antenna relay = one extra source antenna ===\n")
     for n in (2, 3):

@@ -142,8 +142,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(args.r) != 1:
         raise DomainError("simulate needs exactly one --r value")
     r = args.r[0]
-    if not args.snr_db:
-        raise DomainError("simulate needs a --snr-db grid")
     rhos = [10.0 ** (db / 10.0) for db in args.snr_db]
     estimates = outage_probabilities(config, rhos, r, args.samples, args.seed, args.workers)
     fit = diversity_fit(estimates)
@@ -185,9 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ok, lines = run_verify(
-        conjectures=args.conjectures, inject_fault=args.inject_fault or None
-    )
+    ok, lines = run_verify(conjectures=args.conjectures)
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the cross-check battery")
     p_ver.add_argument("--conjectures", action="store_true",
                        help="extend the numeric-conjecture diagnostics")
-    p_ver.add_argument("--inject-fault", default="", help=argparse.SUPPRESS)
     return parser
 
 

@@ -132,8 +132,9 @@ class DmtCurve:
 
 
 def _check_r(r: float, top: float) -> float:
-    """r clamped to [0, top]; beyond float dust outside it is a DomainError."""
-    if r < -_TOL or r > top + _TOL:
+    """r clamped to [0, top]; beyond float dust outside it, or NaN, is a
+    DomainError."""
+    if not -_TOL <= r <= top + _TOL:
         raise DomainError(f"r={r} outside [0, {top}]")
     return min(max(r, 0.0), float(top))
 

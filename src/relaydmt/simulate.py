@@ -258,9 +258,7 @@ def _eigen_exponent_rows(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: n
     for w, count in zip(_composite_grams(rho, h_sd, h_sr, h_rd), counts):
         eig = np.linalg.eigvalsh(w)[:, ::-1][:, :count]  # descending nonzero part
         eig = np.maximum(eig, _EIG_FLOOR)  # clamp hermitian-solver negatives
-        # math.log, not np.log: the two round some values differently in the
-        # last bit, and eigen_exponents keeps its long-standing values
-        rows.append(np.array([[-math.log(x) / log_rho for x in row] for row in eig.tolist()]))
+        rows.append(-np.log(eig) / log_rho)
     return tuple(rows)
 
 

@@ -341,17 +341,19 @@ def dmt_ddf_1k1(k: int, r: float) -> float:
 
 
 def dmt_static_1k1(k: int, r: float) -> float:
-    """Tradeoff of (1, k, 1) with a fixed half-time relay schedule, stated
-    only for r in [1/2, 1]."""
+    """Tradeoff of (1, k, 1) with a fixed half-time relay schedule.
+
+    On (1, k, 1) the objective is (2k + 1)(1 - a) - k b - k s with
+    b, s <= 1 - a.  On the listen plane b = 2(r - a), s = 1 - a it is
+    (k + 1) - 2kr + (k - 1)a, least at the smallest admissible
+    a = max(0, 2r - 1); the transmit plane is its mirror image.  So
+    d = (k + 1) - 2kr on [0, 1/2] and 2(1 - r) on [1/2, 1].
+    """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    if r < 0.5 - _TOL:
-        raise DomainError(
-            f"r={r}: the static (1,k,1) closed form is only stated on [1/2, 1]"
-        )
-    if r > 1.0 + _TOL:
-        raise DomainError(f"r={r} outside [1/2, 1]")
-    r = min(max(r, 0.5), 1.0)
+    r = _check_r(r, 1)
+    if r <= 0.5:
+        return (k + 1) - 2.0 * k * r
     return 2.0 * (1.0 - r)
 
 
@@ -421,40 +423,31 @@ _ONE_K_ONE = ("m = n = 1", lambda c: c.m == 1 and c.n == 1)
 _N_ONE_N = ("m = n and k = 1", lambda c: c.m == c.n and c.k == 1)
 _N_K_N = ("m = n", lambda c: c.m == c.n)
 
-# name -> (configurations it is defined on, lowest r, d at r); every domain
-# ends at max_mux, which is 1 on (1, k, 1) and n on (n, k, n)
+# name -> (configurations it is defined on, d at r); each function refuses
+# an r outside its own domain [0, max_mux]
 _REGISTRY = {
-    "hd-dynamic": (None, 0.0, lambda c, r: solve_two_var(c, r).d),
-    "fd": (None, 0.0, lambda c, r: fd_dmt(c, r)),
-    "ptp": (None, 0.0, lambda c, r: ptp_dmt(c.m, c.n, r)),
-    "closed-1k1": (_ONE_K_ONE, 0.0, lambda c, r: dmt_1k1(c.k, r)),
-    "closed-n1n": (_N_ONE_N, 0.0, lambda c, r: dmt_n1n(c.n, r)),
-    "hd-static-n1n": (_N_ONE_N, 0.0, lambda c, r: solve_static_n1n(c.n, r).d),
-    "symmetric-upper": (_N_K_N, 0.0, lambda c, r: dmt_symmetric_upper(c.n, c.k, r)),
-    "ddf-1k1": (_ONE_K_ONE, 0.0, lambda c, r: dmt_ddf_1k1(c.k, r)),
-    "static-1k1": (_ONE_K_ONE, 0.5, lambda c, r: dmt_static_1k1(c.k, r)),
-    "hd-static": (None, 0.0, lambda c, r: solve_static(c, r).d),
+    "hd-dynamic": (None, lambda c, r: solve_two_var(c, r).d),
+    "fd": (None, lambda c, r: fd_dmt(c, r)),
+    "ptp": (None, lambda c, r: ptp_dmt(c.m, c.n, r)),
+    "closed-1k1": (_ONE_K_ONE, lambda c, r: dmt_1k1(c.k, r)),
+    "closed-n1n": (_N_ONE_N, lambda c, r: dmt_n1n(c.n, r)),
+    "symmetric-upper": (_N_K_N, lambda c, r: dmt_symmetric_upper(c.n, c.k, r)),
+    "ddf-1k1": (_ONE_K_ONE, lambda c, r: dmt_ddf_1k1(c.k, r)),
+    "static-1k1": (_ONE_K_ONE, lambda c, r: dmt_static_1k1(c.k, r)),
+    "hd-static": (None, lambda c, r: solve_static(c, r).d),
 }
 VARIANTS = tuple(_REGISTRY)
 
 
 def dmt_curve(config: AntennaConfig, variant: str, r_grid: Sequence[float]) -> DmtCurve:
-    """Sample one tradeoff variant on a sorted r grid."""
+    """Sample one tradeoff variant on a strictly increasing r grid."""
     if variant not in _REGISTRY:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    needs, lo, fn = _REGISTRY[variant]
+    needs, fn = _REGISTRY[variant]
     if needs is not None and not needs[1](config):
         raise ConfigurationError(f"variant {variant!r} needs {needs[0]}, got {config}")
-    hi = float(config.max_mux)
     grid = [float(r) for r in r_grid]
     if not grid:
         raise DomainError("r grid is empty")
-    for a, b in zip(grid, grid[1:]):
-        if b <= a:
-            raise DomainError("r grid must be strictly increasing")
-    if grid[0] < lo - _TOL or grid[-1] > hi + _TOL:
-        raise DomainError(
-            f"r grid [{grid[0]}, {grid[-1]}] outside the {variant!r} domain [{lo}, {hi}]"
-        )
     points = tuple(DmtPoint(r, fn(config, r)) for r in grid)
     return DmtCurve(config=config, variant=variant, points=points)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,25 +45,13 @@ def _expect(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-def _profile_for(fault: Optional[str]) -> Callable[[float, int], tuple]:
-    if fault == "phi":
-        # test hook: a biased profile map that the consistency check must catch
-        def broken(level, length):
-            base = exponent_profile(level, length)
-            return tuple(min(1.0, x + 0.01) for x in base)
-
-        return broken
-    return exponent_profile
-
-
-def check_profile_consistency(fault: Optional[str] = None) -> str:
-    profile = _profile_for(fault)
+def check_profile_consistency() -> str:
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(2000):
         length = int(rng.integers(1, 5))
         level = float(rng.uniform(0, length))
-        v = profile(level, length)
+        v = exponent_profile(level, length)
         worst = max(worst, abs(sum(1.0 - x for x in v) - level))
         _expect(all(0.0 <= x <= 1.0 for x in v), "profile entry escaped [0, 1]")
         _expect(
@@ -74,8 +61,7 @@ def check_profile_consistency(fault: Optional[str] = None) -> str:
     return f"max level deficit error {worst:.2e}"
 
 
-def check_profile_support_closure(fault: Optional[str] = None) -> str:
-    profile = _profile_for(fault)
+def check_profile_support_closure() -> str:
     rng = np.random.default_rng(103)
     checked = 0
     for mkn in [(1, 1, 1), (2, 2, 2), (1, 3, 2), (3, 2, 1)]:
@@ -84,7 +70,9 @@ def check_profile_support_closure(fault: Optional[str] = None) -> str:
             a = float(rng.uniform(0, c.u))
             b = float(rng.uniform(0, min(c.p, c.m - a)))
             s = float(rng.uniform(0, min(c.q, c.n - a)))
-            t = ExponentTriple(profile(a, c.u), profile(b, c.p), profile(s, c.q))
+            t = ExponentTriple(
+                exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)
+            )
             _expect(in_support(c, t), f"profile left the support at {mkn}")
             rate = rate_exponent(t)
             expect = a + (b * s / (b + s) if b > 0 and s > 0 else 0.0)
@@ -96,7 +84,7 @@ def check_profile_support_closure(fault: Optional[str] = None) -> str:
     return f"{checked} sampled level triples closed"
 
 
-def check_objective_density_identity(fault: Optional[str] = None) -> str:
+def check_objective_density_identity() -> str:
     rng = np.random.default_rng(107)
     worst = 0.0
     for mkn in [(1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 4, 2)]:
@@ -113,7 +101,7 @@ def check_objective_density_identity(fault: Optional[str] = None) -> str:
     return f"max identity gap {worst:.2e}"
 
 
-def check_closed_forms(fault: Optional[str] = None) -> str:
+def check_closed_forms() -> str:
     worst = 0.0
     for k in (1, 2):
         c = AntennaConfig(1, k, 1)
@@ -127,7 +115,7 @@ def check_closed_forms(fault: Optional[str] = None) -> str:
     return f"max closed-form gap {worst:.2e}"
 
 
-def check_static_matches_dynamic(fault: Optional[str] = None) -> str:
+def check_static_matches_dynamic() -> str:
     worst = 0.0
     for n in (1, 2):
         for r in np.linspace(0, n, 7):
@@ -136,7 +124,7 @@ def check_static_matches_dynamic(fault: Optional[str] = None) -> str:
     return f"max static gap {worst:.2e}"
 
 
-def check_reciprocity(fault: Optional[str] = None) -> str:
+def check_reciprocity() -> str:
     worst = 0.0
     for mkn in [(1, 2, 3), (2, 1, 3)]:
         c = AntennaConfig(*mkn)
@@ -149,7 +137,7 @@ def check_reciprocity(fault: Optional[str] = None) -> str:
     return f"max reciprocity gap {worst:.2e}"
 
 
-def check_sandwich(fault: Optional[str] = None) -> str:
+def check_sandwich() -> str:
     for mkn in [(1, 2, 1), (2, 2, 2)]:
         c = AntennaConfig(*mkn)
         for r in np.linspace(0, c.max_mux, 9):
@@ -163,7 +151,7 @@ def check_sandwich(fault: Optional[str] = None) -> str:
     return "single-link <= relay <= pooled-antenna everywhere"
 
 
-def check_grid_oracle(fault: Optional[str] = None) -> str:
+def check_grid_oracle() -> str:
     worst = -math.inf
     for mkn in [(1, 1, 1), (1, 2, 1)]:
         c = AntennaConfig(*mkn)
@@ -174,7 +162,7 @@ def check_grid_oracle(fault: Optional[str] = None) -> str:
     return f"max oracle gap {worst:.2e}"
 
 
-def check_symmetric_upper_dominates(fault: Optional[str] = None) -> str:
+def check_symmetric_upper_dominates() -> str:
     for n, k in [(2, 2), (2, 3)]:
         c = AntennaConfig(n, k, n)
         for r in np.linspace(0, n, 9):
@@ -184,7 +172,7 @@ def check_symmetric_upper_dominates(fault: Optional[str] = None) -> str:
     return "pinned-level bound dominates the solver"
 
 
-def check_cutset_samples(fault: Optional[str] = None) -> str:
+def check_cutset_samples() -> str:
     c = AntennaConfig(2, 2, 2)
     l_sd, l_srd, l_s_rd = _cut_log2dets(50.0, *_block_channels(c, channel_rng(77), 500))
     _expect(bool(np.all(l_srd >= l_sd - 1e-9)), "joint cut below direct cut")
@@ -244,13 +232,13 @@ def conjecture_diagnostics(extended: bool = False):
     return lines
 
 
-def run_verify(conjectures: bool = False, inject_fault: Optional[str] = None):
+def run_verify(conjectures: bool = False):
     """Run the battery; returns (all_hard_checks_passed, report lines)."""
     lines = []
     ok = True
     for name, check in HARD_CHECKS:
         try:
-            detail = check(inject_fault)
+            detail = check()
             lines.append(f"PASS  {name}: {detail}")
         except CheckFailure as exc:
             ok = False

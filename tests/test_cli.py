@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import relaydmt
+from relaydmt import exponent_profile
 from relaydmt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -109,8 +110,7 @@ def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
     def refuse(config, r):
         raise solvers.SolverRefusal("over the size cap")
 
-    _, lo, _ = solvers._REGISTRY["hd-static"]
-    monkeypatch.setitem(solvers._REGISTRY, "hd-static", (None, lo, refuse))
+    monkeypatch.setitem(solvers._REGISTRY, "hd-static", (None, refuse))
     code = main(
         ["curve", "--m", "1", "--k", "1", "--n", "1",
          "--variants", "hd-static", "--r", "0:1:0.5"]
@@ -122,7 +122,7 @@ def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
 def test_curve_static_n1n_beyond_old_cap(capsys):
     code = main(
         ["curve", "--m", "5", "--k", "1", "--n", "5",
-         "--variants", "hd-static-n1n", "--r", "0:5:1"]
+         "--variants", "hd-static", "--r", "0:5:1"]
     )
     assert code == EXIT_OK
     (record,) = json.loads(capsys.readouterr().out)
@@ -230,8 +230,23 @@ def test_simulate_insufficient_points():
     assert code == EXIT_INSUFFICIENT_DATA
 
 
-def test_verify_fault_injection_fails_and_names_check(capsys):
-    code = main(["verify", "--inject-fault", "phi"])
+def test_simulate_empty_snr_grid(capsys):
+    code = main(
+        ["simulate", "--m", "1", "--k", "1", "--n", "1", "--r", "0.5",
+         "--snr-db", "", "--samples", "1000"]
+    )
+    assert code == EXIT_BAD_CONFIG
+    assert "need at least one SNR point" in capsys.readouterr().err
+
+
+def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys):
+    from relaydmt import verify
+
+    def biased(level, length):
+        return tuple(min(1.0, x + 0.01) for x in exponent_profile(level, length))
+
+    monkeypatch.setattr(verify, "exponent_profile", biased)
+    code = main(["verify"])
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "FAIL  profile consistency" in out

@@ -22,6 +22,7 @@ from relaydmt.simulate import (
     sample_channel,
     _block_channels,
     _cut_log2dets,
+    _eigen_exponent_rows,
     _switch_and_rate,
 )
 
@@ -218,6 +219,17 @@ def test_eigen_exponents_floor_handles_zero_channel():
 def test_eigen_exponents_requires_rho_above_one():
     with pytest.raises(DomainError):
         eigen_exponents(scalar_sample(1, 1, 1), 1.0)
+
+
+@pytest.mark.parametrize("mkn", [(2, 2, 2), (1, 1, 4), (4, 2, 1), (3, 2, 3)])
+def test_eigen_exponents_equals_its_block_row(mkn):
+    # the scalar path is a batch of one, so it must agree bit for bit
+    c = AntennaConfig(*mkn)
+    block = _block_channels(c, channel_rng(47), 256)
+    rows = _eigen_exponent_rows(1e3, *block)
+    for i in range(256):
+        t = eigen_exponents(ChannelSample(*(np.ascontiguousarray(h[i]) for h in block)), 1e3)
+        assert (t.alpha, t.beta, t.delta) == tuple(tuple(r[i].tolist()) for r in rows)
 
 
 def test_rate_consistency_improves_with_snr():

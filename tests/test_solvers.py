@@ -77,8 +77,10 @@ def test_dmt_static_1k1():
     assert dmt_static_1k1(2, 0.5) == 1.0
     assert dmt_static_1k1(5, 1.0) == 0.0
     assert dmt_static_1k1(2, 0.75) == 0.5
-    with pytest.raises(DomainError):
-        dmt_static_1k1(2, 0.25)
+    assert dmt_static_1k1(2, 0.25) == 2.0
+    for r in (-0.1, 1.1):
+        with pytest.raises(DomainError):
+            dmt_static_1k1(2, r)
 
 
 def test_closed_form_domain_errors():
@@ -346,7 +348,7 @@ def static_level_grid(c, r, steps=8):
 
 def test_static_matches_1k1_closed_form():
     for k in (1, 2, 3, 4, 5):
-        for r in np.linspace(0.5, 1.0, 21):
+        for r in np.linspace(0.0, 1.0, 41):
             assert solve_static(AntennaConfig(1, k, 1), float(r)).d == pytest.approx(
                 dmt_static_1k1(k, float(r)), abs=1e-12
             )
@@ -426,16 +428,13 @@ def test_dmt_curve_all_variants_monotone():
         "ddf-1k1": (1, 3, 1),
         "static-1k1": (1, 3, 1),
         "closed-n1n": (2, 1, 2),
-        "hd-static-n1n": (2, 1, 2),
         "hd-static": (2, 3, 2),
         "symmetric-upper": (2, 2, 2),
     }
     assert set(cases) == set(VARIANTS)
     for variant, mkn in list(cases.items()) + [("symmetric-upper", (2, 4, 2))]:
         c = AntennaConfig(*mkn)
-        lo = 0.5 if variant == "static-1k1" else 0.0
-        hi = 1.0 if c.m == 1 else float(c.max_mux)
-        curve = dmt_curve(c, variant, np.linspace(lo, hi, 11))
+        curve = dmt_curve(c, variant, np.linspace(0.0, c.max_mux, 11))
         ds = [p.d for p in curve.points]
         assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
 
@@ -456,4 +455,31 @@ def test_dmt_curve_grid_validation():
     with pytest.raises(DomainError):
         dmt_curve(c, "ptp", [0.5, 0.5])
     with pytest.raises(DomainError):
-        dmt_curve(c, "static-1k1", [0.0, 0.75])
+        dmt_curve(c, "static-1k1", [-0.1, 0.75])
+    with pytest.raises(DomainError):
+        dmt_curve(c, "static-1k1", [0.25, 1.1])
+
+
+# one eligible configuration per variant
+_VARIANT_CONFIGS = {
+    "hd-dynamic": (2, 3, 1),
+    "fd": (3, 1, 2),
+    "ptp": (2, 2, 3),
+    "closed-1k1": (1, 2, 1),
+    "closed-n1n": (3, 1, 3),
+    "symmetric-upper": (2, 3, 2),
+    "ddf-1k1": (1, 3, 1),
+    "static-1k1": (1, 2, 1),
+    "hd-static": (3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dmt_curve_variant_guards_its_domain(variant):
+    # dmt_curve has no domain check of its own: each variant refuses its r
+    c = AntennaConfig(*_VARIANT_CONFIGS[variant])
+    top = float(c.max_mux)
+    assert len(dmt_curve(c, variant, [0.0, top]).points) == 2
+    for grid in ([-0.1, 0.5], [0.5, top + 0.1], [0.5, float("nan")]):
+        with pytest.raises(DomainError):
+            dmt_curve(c, variant, grid)
