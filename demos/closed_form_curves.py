@@ -8,56 +8,45 @@ exactly like one extra transmit antenna.
 
 import numpy as np
 
-from relaydmt import (
-    AntennaConfig,
-    dmt_1k1,
-    dmt_ddf_1k1,
-    dmt_n1n,
-    dmt_static_1k1,
-    ptp_dmt,
-    solve_static_n1n,
-    solve_two_var,
-)
+from relaydmt import AntennaConfig, dmt_curve
+
+
+def column(config, variant, grid):
+    """d of one tradeoff variant on the r grid."""
+    return np.array([p.d for p in dmt_curve(config, variant, grid).points])
 
 
 def main():
     print("=== (1,k,1): solver vs closed form, and what the relay buys ===\n")
-    grid = np.linspace(0.0, 1.0, 11)
+    grid = np.linspace(0.0, 1.0, 11).tolist()
     for k in (2, 4):
         c = AntennaConfig(1, k, 1)
-        print(f"(1,{k},1)   r      solver   closed   ddf      static   ptp")
-        for r in grid:
-            d = solve_two_var(c, float(r)).d
-            closed = dmt_1k1(k, float(r))
-            ddf = dmt_ddf_1k1(k, float(r))
-            static = dmt_static_1k1(k, float(r))
-            print(
-                f"         {r:4.1f}   {d:7.4f}  {closed:7.4f}  {ddf:7.4f}"
-                f"  {static:7.4f}  {ptp_dmt(1, 1, float(r)):5.2f}"
-            )
-        print(
-            f"  max |solver - closed| = "
-            f"{max(abs(solve_two_var(c, float(r)).d - dmt_1k1(k, float(r))) for r in grid):.2e}\n"
+        d, closed, ddf, static, ptp = (
+            column(c, v, grid)
+            for v in ("hd-dynamic", "closed-1k1", "ddf-1k1", "static-1k1", "ptp")
         )
+        print(f"(1,{k},1)   r      solver   closed   ddf      static   ptp")
+        for row in zip(grid, d, closed, ddf, static, ptp):
+            print("         {:4.1f}   {:7.4f}  {:7.4f}  {:7.4f}  {:7.4f}  {:5.2f}".format(*row))
+        print(f"  max |solver - closed| = {np.abs(d - closed).max():.2e}\n")
 
+    static, optimum = (column(AntennaConfig(1, 2, 1), v, [0.25])[0]
+                       for v in ("static-1k1", "closed-1k1"))
     print("note: decode-and-forward matches the optimum up to r = 1/2, then")
     print("decays as (1-r)/r. A fixed half-time schedule costs nothing above")
     print("r = 1/2 but loses below it: at (1,2,1), r = 0.25, the static curve")
-    print(f"gives {dmt_static_1k1(2, 0.25):.2f} against {dmt_1k1(2, 0.25):.2f}.\n")
+    print(f"gives {static:.2f} against {optimum:.2f}.\n")
 
     print("=== (n,1,n): a single-antenna relay = one extra source antenna ===\n")
     for n in (2, 3):
-        grid = np.linspace(0.0, n, 2 * n + 1)
-        worst_dyn = max(
-            abs(solve_two_var(AntennaConfig(n, 1, n), float(r)).d - dmt_n1n(n, float(r)))
-            for r in grid
+        c = AntennaConfig(n, 1, n)
+        grid = np.linspace(0.0, n, 2 * n + 1).tolist()
+        closed = column(c, "closed-n1n", grid)
+        worst_dyn, worst_stat = (
+            np.abs(column(c, v, grid) - closed).max() for v in ("hd-dynamic", "hd-static")
         )
-        worst_stat = max(
-            abs(solve_static_n1n(n, float(r)).d - dmt_n1n(n, float(r))) for r in grid
-        )
-        corners = ", ".join(
-            f"d({j})={dmt_n1n(n, float(j)):.0f}" for j in range(n + 1)
-        )
+        # the grid steps by 1/2, so every other point is an integer corner
+        corners = ", ".join(f"d({j})={d:.0f}" for j, d in enumerate(closed[::2]))
         print(f"({n},1,{n}): corner points {corners}")
         print(f"  dynamic solver gap {worst_dyn:.2e}; fixed-schedule gap {worst_stat:.2e}")
         print(f"  (both equal the {n + 1}x{n} point-to-point curve)\n")

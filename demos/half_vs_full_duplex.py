@@ -8,52 +8,46 @@ relay at high multiplexing gains while they always help a full-duplex one.
 
 import numpy as np
 
-from relaydmt import AntennaConfig, dmt_symmetric_upper, fd_dmt, solve_two_var
+from relaydmt import AntennaConfig, dmt_curve
 
 
-def gap_table(mkn, grid):
-    c = AntennaConfig(*mkn)
-    rows = []
-    for r in grid:
-        hd = solve_two_var(c, float(r)).d
-        fd = fd_dmt(c, float(r))
-        rows.append((float(r), hd, fd))
-    return rows
+def column(mkn, variant, grid):
+    """d of one tradeoff variant of (m,k,n) on the r grid."""
+    return np.array([p.d for p in dmt_curve(AntennaConfig(*mkn), variant, grid).points])
 
 
 def main():
     print("=== half duplex is free when m > n >= k ===\n")
+    grid = np.linspace(0, 2, 9).tolist()
     for mkn in [(3, 2, 2), (3, 1, 2)]:
-        rows = gap_table(mkn, np.linspace(0, 2, 9))
-        worst = max(abs(hd - fd) for _, hd, fd in rows)
+        worst = np.abs(column(mkn, "hd-dynamic", grid) - column(mkn, "fd", grid)).max()
         print(f"{mkn}: max |hd - fd| over the grid = {worst:.2e}")
     print()
 
     print("=== ... and visibly not when the relay is strong ===\n")
     print("(2,3,2)    r     half-duplex  full-duplex   penalty")
-    for r, hd, fd in gap_table((2, 3, 2), np.linspace(0, 2, 9)):
-        print(f"        {r:5.2f}   {hd:10.4f}   {fd:10.4f}   {fd - hd:8.4f}")
+    hd, fd = (column((2, 3, 2), v, grid) for v in ("hd-dynamic", "fd"))
+    for r, h, f in zip(grid, hd, fd):
+        print(f"        {r:5.2f}   {h:10.4f}   {f:10.4f}   {f - h:8.4f}")
     print()
 
     print("=== relay antennas saturate under the half-duplex constraint ===\n")
     print("   r    hd(2,3,2)  hd(2,4,2)  fd(2,3,2)  fd(2,4,2)")
-    for r in np.linspace(0.5, 2.0, 7):
-        h3 = solve_two_var(AntennaConfig(2, 3, 2), float(r)).d
-        h4 = solve_two_var(AntennaConfig(2, 4, 2), float(r)).d
-        f3 = fd_dmt(AntennaConfig(2, 3, 2), float(r))
-        f4 = fd_dmt(AntennaConfig(2, 4, 2), float(r))
-        print(f"  {r:4.2f}  {h3:9.4f}  {h4:9.4f}  {f3:9.4f}  {f4:9.4f}")
+    grid = np.linspace(0.5, 2.0, 7).tolist()
+    rows = zip(grid, *(column(mkn, v, grid) for v in ("hd-dynamic", "fd")
+                       for mkn in ((2, 3, 2), (2, 4, 2))))
+    for row in rows:
+        print("  {:4.2f}  {:9.4f}  {:9.4f}  {:9.4f}  {:9.4f}".format(*row))
     print("\nabove r = 1 the fourth relay antenna moves the full-duplex curve")
     print("but not the half-duplex one.\n")
 
     print("=== pinned-level bound vs the solver on symmetric configs ===\n")
-    for n, k in [(2, 2), (2, 3)]:
-        c = AntennaConfig(n, k, n)
-        worst = max(
-            abs(dmt_symmetric_upper(n, k, float(r)) - solve_two_var(c, float(r)).d)
-            for r in np.linspace(0, n, 17)
-        )
-        print(f"({n},{k},{n}): max |bound - solver| = {worst:.2e}  (numerically tight)")
+    for mkn in [(2, 2, 2), (2, 3, 2)]:
+        grid = np.linspace(0, mkn[0], 17).tolist()
+        worst = np.abs(
+            column(mkn, "symmetric-upper", grid) - column(mkn, "hd-dynamic", grid)
+        ).max()
+        print("({},{},{}): max |bound - solver| = {:.2e}  (numerically tight)".format(*mkn, worst))
 
 
 if __name__ == "__main__":

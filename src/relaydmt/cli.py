@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,6 +39,8 @@ def _parse_grid(text: str) -> list:
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} is not start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid {text!r} has a non-finite start, stop or step")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         values = []

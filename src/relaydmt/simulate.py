@@ -214,8 +214,8 @@ def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.nd
 
 def cutset_terms(sample: ChannelSample, rho: float) -> CutsetTerms:
     """Evaluate the three cut log determinants in the log domain."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     for h in (sample.h_sd, sample.h_sr, sample.h_rd):
         if not np.all(np.isfinite(h)):
             raise ValueError("channel matrices contain non-finite entries")
@@ -265,8 +265,8 @@ def _eigen_exponent_rows(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: n
 def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
     """Negative SNR exponents of the ordered eigenvalues of the three
     composite channel matrices; requires rho > 1 so the log base is sound."""
-    if not rho > 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:
+        raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
     rows = _eigen_exponent_rows(rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None])
     return ExponentTriple(*(tuple(r[0].tolist()) for r in rows))
 
@@ -314,12 +314,11 @@ def outage_probabilities(
     if not rhos:
         raise DomainError("need at least one SNR point")
     for rho in rhos:
-        if not rho > 1.0:
-            raise DomainError(f"rho must exceed 1, got {rho}")
-    if r <= 0.0:
-        raise DomainError(f"r={r}: outage is degenerate at non-positive rates")
-    if r >= config.max_mux:
-        raise DomainError(f"r={r} must lie strictly below {config.max_mux}")
+        if not 1.0 < rho < math.inf:
+            raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
+    # outage is degenerate at r <= 0 and no longer decays with SNR from max_mux on
+    if not 0.0 < r < config.max_mux:
+        raise DomainError(f"r={r} must lie strictly between 0 and {config.max_mux}")
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
     if workers < 1:

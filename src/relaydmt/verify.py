@@ -1,8 +1,8 @@
 """Cross-check battery behind the ``verify`` command.
 
-Hard checks compare independent computation routes (closed forms against the
-two-variable solver, the solver against the brute-force oracle, exponent
-identities, cut-set sample properties) and fail the run on any disagreement.
+Hard checks compare independent routes and fail the run on any disagreement:
+registry variants sampled through ``dmt_curve`` against each other, the solver
+against the brute-force oracle, exponent identities and cut-set samples.
 Numeric-conjecture diagnostics are always reported but never fail the run.
 """
 
@@ -19,21 +19,11 @@ from .core import (
     density_exponent,
     diversity_objective,
     exponent_profile,
-    fd_dmt,
     in_support,
-    ptp_dmt,
     rate_exponent,
 )
 from .simulate import _block_channels, _cut_log2dets, channel_rng
-from .solvers import (
-    dmt_1k1,
-    dmt_n1n,
-    dmt_symmetric_upper,
-    solve_general_grid,
-    solve_static,
-    solve_static_n1n,
-    solve_two_var,
-)
+from .solvers import dmt_curve, solve_general_grid, solve_two_var
 
 
 class CheckFailure(AssertionError):
@@ -101,53 +91,45 @@ def check_objective_density_identity() -> str:
     return f"max identity gap {worst:.2e}"
 
 
+def _d(config: AntennaConfig, variant: str, count: int) -> np.ndarray:
+    """d of a registry variant at ``count`` evenly spaced r on [0, max_mux]."""
+    grid = np.linspace(0, config.max_mux, count).tolist()
+    return np.array([p.d for p in dmt_curve(config, variant, grid).points])
+
+
+def _gap(config: AntennaConfig, first: str, second: str, count: int) -> float:
+    """Largest |d_first - d_second| on the grid of :func:`_d`."""
+    return float(np.abs(_d(config, first, count) - _d(config, second, count)).max())
+
+
 def check_closed_forms() -> str:
-    worst = 0.0
-    for k in (1, 2):
-        c = AntennaConfig(1, k, 1)
-        for r in np.linspace(0, 1, 11):
-            worst = max(worst, abs(solve_two_var(c, float(r)).d - dmt_1k1(k, float(r))))
-    for n in (1, 2):
-        c = AntennaConfig(n, 1, n)
-        for r in np.linspace(0, n, 11):
-            worst = max(worst, abs(solve_two_var(c, float(r)).d - dmt_n1n(n, float(r))))
+    cases = [(AntennaConfig(1, k, 1), "closed-1k1") for k in (1, 2)]
+    cases += [(AntennaConfig(n, 1, n), "closed-n1n") for n in (1, 2)]
+    worst = max(_gap(c, "hd-dynamic", form, 11) for c, form in cases)
     _expect(worst <= 1e-9, f"solver strayed {worst:.2e} from a closed form")
     return f"max closed-form gap {worst:.2e}"
 
 
 def check_static_matches_dynamic() -> str:
-    worst = 0.0
-    for n in (1, 2):
-        for r in np.linspace(0, n, 7):
-            worst = max(worst, abs(solve_static_n1n(n, float(r)).d - dmt_n1n(n, float(r))))
+    worst = max(_gap(AntennaConfig(n, 1, n), "hd-static", "closed-n1n", 7) for n in (1, 2))
     _expect(worst <= 1e-9, f"static solver strayed {worst:.2e}")
     return f"max static gap {worst:.2e}"
 
 
 def check_reciprocity() -> str:
-    worst = 0.0
-    for mkn in [(1, 2, 3), (2, 1, 3)]:
-        c = AntennaConfig(*mkn)
-        for r in np.linspace(0, c.max_mux, 7):
-            worst = max(
-                worst,
-                abs(solve_two_var(c, float(r)).d - solve_two_var(c.swapped(), float(r)).d),
-            )
+    worst = max(
+        float(np.abs(_d(c, "hd-dynamic", 7) - _d(c.swapped(), "hd-dynamic", 7)).max())
+        for c in (AntennaConfig(1, 2, 3), AntennaConfig(2, 1, 3))
+    )
     _expect(worst <= 1e-9, f"reciprocity broken by {worst:.2e}")
     return f"max reciprocity gap {worst:.2e}"
 
 
 def check_sandwich() -> str:
     for mkn in [(1, 2, 1), (2, 2, 2)]:
-        c = AntennaConfig(*mkn)
-        for r in np.linspace(0, c.max_mux, 9):
-            hd = solve_two_var(c, float(r)).d
-            lo = ptp_dmt(c.m, c.n, float(r))
-            hi = fd_dmt(c, float(r))
-            _expect(
-                lo - 1e-9 <= hd <= hi + 1e-9,
-                f"sandwich broken at {mkn}, r={r}: {lo} / {hd} / {hi}",
-            )
+        lo, hd, hi = (_d(AntennaConfig(*mkn), v, 9) for v in ("ptp", "hd-dynamic", "fd"))
+        excess = float(np.max([lo - hd, hd - hi]))
+        _expect(excess <= 1e-9, f"sandwich broken at {mkn} by {excess:.2e}")
     return "single-link <= relay <= pooled-antenna everywhere"
 
 
@@ -165,10 +147,8 @@ def check_grid_oracle() -> str:
 def check_symmetric_upper_dominates() -> str:
     for n, k in [(2, 2), (2, 3)]:
         c = AntennaConfig(n, k, n)
-        for r in np.linspace(0, n, 9):
-            ub = dmt_symmetric_upper(n, k, float(r))
-            d = solve_two_var(c, float(r)).d
-            _expect(ub >= d - 1e-9, f"bound {ub} below solver {d} at ({n},{k})")
+        excess = float((_d(c, "hd-dynamic", 9) - _d(c, "symmetric-upper", 9)).max())
+        _expect(excess <= 1e-9, f"bound below solver by {excess:.2e} at ({n},{k})")
     return "pinned-level bound dominates the solver"
 
 
@@ -198,11 +178,7 @@ def conjecture_diagnostics(extended: bool = False):
     """Soft numeric checks of the conjectured equalities; informative only."""
     lines = []
     for mkn in [(3, 2, 2), (3, 1, 2)]:
-        c = AntennaConfig(*mkn)
-        gap = max(
-            abs(solve_two_var(c, float(r)).d - fd_dmt(c, float(r)))
-            for r in np.linspace(0, c.max_mux, 9)
-        )
+        gap = _gap(AntennaConfig(*mkn), "hd-dynamic", "fd", 9)
         verdict = "consistent" if gap <= 1e-2 else "inconsistent"
         lines.append(
             f"half-duplex equals full-duplex on {mkn}: max gap {gap:.2e} ({verdict})"
@@ -211,23 +187,18 @@ def conjecture_diagnostics(extended: bool = False):
         (n, k) for n in (1, 2) for k in (1, 2, 3)
     ]
     for n, k in pairs:
-        c = AntennaConfig(n, k, n)
-        gap = max(
-            abs(dmt_symmetric_upper(n, k, float(r)) - solve_two_var(c, float(r)).d)
-            for r in np.linspace(0, n, 9)
-        )
+        gap = _gap(AntennaConfig(n, k, n), "symmetric-upper", "hd-dynamic", 9)
         verdict = "consistent" if gap <= 1e-2 else "inconsistent"
         lines.append(
             f"symmetric bound tight on ({n},{k},{n}): max gap {gap:.2e} ({verdict})"
         )
     if extended:
         # the classes where a fixed half-time schedule loses nothing
-        same = []
-        for mkn in itertools.product((1, 2, 3), repeat=3):
-            c = AntennaConfig(*mkn)
-            rs = np.linspace(0, c.max_mux, 9).tolist()
-            if all(abs(solve_static(c, r).d - solve_two_var(c, r).d) <= 1e-9 for r in rs):
-                same.append(f"({c.m},{c.k},{c.n})")
+        same = [
+            "({},{},{})".format(*mkn)
+            for mkn in itertools.product((1, 2, 3), repeat=3)
+            if _gap(AntennaConfig(*mkn), "hd-static", "hd-dynamic", 9) <= 1e-9
+        ]
         lines.append(f"static equals dynamic on {len(same)} of 27 configs: {' '.join(same)}")
     return lines
 

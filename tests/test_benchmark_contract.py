@@ -1,0 +1,48 @@
+"""The benchmark's tracer must still find what it wraps in the program.
+
+``perfbench/tracing.py`` replaces relaydmt functions by name and times each
+``verify`` check under a key derived from its function name; a renamed or
+deleted name makes the traced benchmark run raise or report other keys.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import relaydmt
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TRACED_VERIFY = """
+import contextlib, io, json, sys
+import relaydmt.cli
+import tracing
+
+tracer = tracing.Tracer()
+tracer.install({name: sys.modules["relaydmt." + name]
+                for name in ("core", "solvers", "simulate", "verify", "cli")})
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = sys.modules["relaydmt.cli"].main(["verify"])
+keys = [k for k in tracer.metrics(1, 0.0) if k.startswith(tracing.CHECK_PREFIX)]
+print(json.dumps({"rc": rc, "keys": sorted(keys)}))
+"""
+
+
+def test_tracer_installs_and_times_every_declared_check():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relaydmt.__file__)))
+    path = os.pathsep.join(
+        filter(None, [src, os.path.join(ROOT, "perfbench"), os.environ.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    result = json.loads(out.stdout)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        declared = sorted(
+            layer["name"] for layer in json.load(handle)["per_layer"]
+            if layer["name"].startswith("verify.check_s.")
+        )
+    assert result["rc"] == 0
+    assert result["keys"] == declared

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import relaydmt
-from relaydmt import exponent_profile
+from relaydmt import exponent_profile, solvers
 from relaydmt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -26,6 +26,10 @@ def test_parse_grid_forms():
         _parse_grid("0:1")
     with pytest.raises(ValueError):
         _parse_grid("0:1:-0.5")
+    # a non-finite bound or step is named, not reported as an empty grid
+    for text in ("0:1:nan", "nan:1:0.5", "0:1:inf", "0:inf:0.5"):
+        with pytest.raises(ValueError, match="non-finite"):
+            _parse_grid(text)
 
 
 def test_parse_grid_long_grid_does_not_drift():
@@ -214,10 +218,15 @@ def test_simulate_stdout_is_pure_json(capsys):
     assert "fitted slope" in captured.err
 
 
-def test_simulate_rejects_degenerate_rate():
+@pytest.mark.parametrize(
+    "r, snr_db",
+    [("0", "10:20:5"), ("nan", "10:20:5"), ("0.5", "inf,10,20")],
+    ids=["zero-rate", "nan-rate", "inf-snr"],
+)
+def test_simulate_rejects_degenerate_rate(r, snr_db):
     code = main(
-        ["simulate", "--m", "1", "--k", "1", "--n", "1", "--r", "0",
-         "--snr-db", "10:20:5", "--samples", "5000"]
+        ["simulate", "--m", "1", "--k", "1", "--n", "1", "--r", r,
+         "--snr-db", snr_db, "--samples", "5000"]
     )
     assert code == EXIT_BAD_CONFIG
 
@@ -239,17 +248,38 @@ def test_simulate_empty_snr_grid(capsys):
     assert "need at least one SNR point" in capsys.readouterr().err
 
 
-def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys):
+def _biased_profile(level, length):
+    return tuple(min(1.0, x + 0.01) for x in exponent_profile(level, length))
+
+
+def _shift_variant(monkeypatch, variant, shift):
+    needs, fn = solvers._REGISTRY[variant]
+    monkeypatch.setitem(solvers._REGISTRY, variant, (needs, lambda c, r: fn(c, r) + shift))
+
+
+# an upper bound is lowered, not raised: raising it cannot break a <= check
+@pytest.mark.parametrize(
+    "target, shift, label",
+    [
+        ("profile", 0.01, "profile consistency"),
+        ("closed-1k1", 0.01, "closed-form agreement"),
+        ("hd-static", 0.01, "static equals dynamic (n,1,n)"),
+        ("fd", -0.01, "sandwich bounds"),
+        ("symmetric-upper", -0.01, "symmetric upper bound dominance"),
+    ],
+    ids=["profile", "closed-1k1", "hd-static", "fd", "symmetric-upper"],
+)
+def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys, target, shift, label):
     from relaydmt import verify
 
-    def biased(level, length):
-        return tuple(min(1.0, x + 0.01) for x in exponent_profile(level, length))
-
-    monkeypatch.setattr(verify, "exponent_profile", biased)
+    if target == "profile":
+        monkeypatch.setattr(verify, "exponent_profile", _biased_profile)
+    else:
+        _shift_variant(monkeypatch, target, shift)
     code = main(["verify"])
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
-    assert "FAIL  profile consistency" in out
+    assert f"FAIL  {label}" in out
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -158,8 +158,9 @@ def test_cutset_terms_equals_its_block_row(mkn):
 
 
 def test_cutset_rejects_bad_input():
-    with pytest.raises(DomainError):
-        cutset_terms(scalar_sample(1, 1, 1), 0.0)
+    for rho in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            cutset_terms(scalar_sample(1, 1, 1), rho)
     with pytest.raises(ValueError):
         cutset_terms(scalar_sample(np.nan, 1, 1), 2.0)
 
@@ -217,8 +218,9 @@ def test_eigen_exponents_floor_handles_zero_channel():
 
 
 def test_eigen_exponents_requires_rho_above_one():
-    with pytest.raises(DomainError):
-        eigen_exponents(scalar_sample(1, 1, 1), 1.0)
+    for rho in (1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            eigen_exponents(scalar_sample(1, 1, 1), rho)
 
 
 @pytest.mark.parametrize("mkn", [(2, 2, 2), (1, 1, 4), (4, 2, 1), (3, 2, 3)])
@@ -327,12 +329,15 @@ def test_outage_rejects_degenerate_requests():
         outage_probability(c, 100.0, 0.0, 5000, seed=1)
     with pytest.raises(DomainError):
         outage_probability(c, 100.0, 2.0, 5000, seed=1)
+    for r in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            outage_probability(c, 100.0, r, 5000, seed=1)
     with pytest.raises(DomainError):
         outage_probability(c, 100.0, 0.5, 100, seed=1)
     with pytest.raises(DomainError):
         outage_probability(c, 0.5, 0.5, 5000, seed=1)
     # a sweep rejects an empty grid and a bad SNR anywhere in it
-    for rhos in ((), (100.0, 0.5), (10.0, 100.0, 1.0)):
+    for rhos in ((), (100.0, 0.5), (10.0, 100.0, 1.0), (math.inf, 10.0), (10.0, math.nan)):
         with pytest.raises(DomainError):
             outage_probabilities(c, rhos, 0.5, 5000, seed=1)
 
