@@ -5,17 +5,14 @@ the minimum over ``--repeats`` runs: the Philox draw, the Gram build, the
 log-det and the rate combine, then the whole block as the outage estimator
 runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
-``outage_probabilities`` call, or one ``outage_probability`` call per point
-in trees without it) against 5 single-point calls, and one scalar
+``outage_probabilities`` call) against 5 single-point calls, and one scalar
 ``cutset_terms`` call (a batch of one).
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
 
 Each source tree is timed in a fresh interpreter that imports ``relaydmt``
-from that tree, so two versions of the package never share a process.  The
-Gram stage runs the tree's ``_cut_grams``, or the same three ``_side_gram``
-calls in trees that predate it.
+from that tree, so two versions of the package never share a process.
 """
 
 from __future__ import annotations
@@ -46,21 +43,6 @@ def _best(fn, repeats: int) -> float:
     return best
 
 
-def _stages(sim, channels):
-    """(gram, logdet) callables for the tree's kernel; ``gram`` returns the
-    input of ``logdet``."""
-    def gram():
-        if hasattr(sim, "_cut_grams"):
-            return sim._cut_grams(*channels)
-        sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in channels))
-        return sim._side_gram([[sd]]), sim._side_gram([[sd, rd]]), sim._side_gram([[sr], [sd]])
-
-    def logdet(grams):
-        return [sim._log2_det_eye_plus(RHO, g) for g in grams]
-
-    return gram, logdet
-
-
 def measure(repeats: int) -> dict:
     """Stage times of the ``relaydmt`` on ``sys.path``, in milliseconds."""
     from relaydmt import AntennaConfig
@@ -71,8 +53,11 @@ def measure(repeats: int) -> dict:
     for mkn in CONFIGS:
         config = AntennaConfig(*mkn)
         channels = sim._block_channels(config, sim.channel_rng(1), count)
-        gram, logdet = _stages(sim, channels)
-        grams = gram()
+
+        def logdet(grams):
+            return [sim._log2_det_eye_plus(RHO, g) for g in grams]
+
+        grams = sim._cut_grams(*channels)
         logs = logdet(grams)
         sample = sim.sample_channel(config, sim.channel_rng(2))
         r = 0.5 * config.max_mux
@@ -81,20 +66,17 @@ def measure(repeats: int) -> dict:
         def points():
             return [sim.outage_probability(config, rho, r, count, 1) for rho in SWEEP]
 
-        def sweep():
-            if hasattr(sim, "outage_probabilities"):
-                return sim.outage_probabilities(config, SWEEP, r, count, 1)
-            return points()
-
         result["%d,%d,%d" % mkn] = {
             "samples": count,
             "draw_ms": 1e3 * _best(lambda: sim._block_channels(config, sim.channel_rng(1), count), repeats),
-            "gram_ms": 1e3 * _best(gram, repeats),
+            "gram_ms": 1e3 * _best(lambda: sim._cut_grams(*channels), repeats),
             "logdet_ms": 1e3 * _best(lambda: logdet(grams), repeats),
             "combine_ms": 1e3 * _best(lambda: sim._switch_and_rate(*logs), repeats),
             "block_ms": 1e3 * block_s,
             "samples_per_s": count / block_s,
-            "sweep_ms": 1e3 * _best(sweep, repeats),
+            "sweep_ms": 1e3 * _best(
+                lambda: sim.outage_probabilities(config, SWEEP, r, count, 1), repeats
+            ),
             "points_ms": 1e3 * _best(points, repeats),
             "scalar_cutset_terms_us": 1e6 / SCALAR_CALLS * _best(
                 lambda: [sim.cutset_terms(sample, RHO) for _ in range(SCALAR_CALLS)], repeats

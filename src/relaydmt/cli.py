@@ -208,18 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default="", help="output path (default stdout)")
 
-    p_curve = sub.add_parser("curve", help="emit tradeoff curves")
-    antenna_flags(p_curve)
-    output_flags(p_curve)
-    p_curve.add_argument("--variants", default="hd-dynamic",
-                         help="comma list from: " + ",".join(VARIANTS))
-    p_curve.add_argument("--r", default="", help="r grid, start:stop:step or comma list")
+    def curve_flags(p, variants):
+        antenna_flags(p)
+        output_flags(p)
+        p.add_argument("--variants", default=variants,
+                       help="comma list from: " + ",".join(VARIANTS))
+        p.add_argument("--r", default="", help="r grid, start:stop:step or comma list")
 
-    p_cmp = sub.add_parser("compare", help="tabulate several variants side by side")
-    antenna_flags(p_cmp)
-    output_flags(p_cmp)
-    p_cmp.add_argument("--variants", default="")
-    p_cmp.add_argument("--r", default="")
+    curve_flags(sub.add_parser("curve", help="emit tradeoff curves"), "hd-dynamic")
+    curve_flags(sub.add_parser("compare", help="tabulate several variants side by side"), "")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo outage and slope fit")
     antenna_flags(p_sim)

@@ -8,7 +8,8 @@ Reproducibility contract: the sample index space is partitioned into fixed
 blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
-estimated alone or within a sweep.
+estimated alone or within a sweep.  ``_blocks`` owns this layout: the outage
+sweep and the eigenvalue statistics both walk the samples through it.
 """
 
 from __future__ import annotations
@@ -278,16 +279,13 @@ def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
 _CHUNK = 4096  # samples per cut-Gram build: the Grams stay small beside the block
 
 
-def _block_bounds(n_samples: int):
-    blocks = []
-    start = 0
-    index = 0
-    while start < n_samples:
+def _blocks(config: AntennaConfig, seed: int, n_samples: int):
+    """The channel triples of the first ``n_samples`` draws, block by block:
+    block ``i`` holds ``BLOCK_SIZE`` samples (fewer in a partial last block)
+    from the stream (seed, i)."""
+    for index, start in enumerate(range(0, n_samples, BLOCK_SIZE)):
         size = min(BLOCK_SIZE, n_samples - start)
-        blocks.append((index, size))
-        start += size
-        index += 1
-    return blocks
+        yield _block_channels(config, channel_rng(seed, index), size)
 
 
 def outage_probabilities(
@@ -325,9 +323,8 @@ def outage_probabilities(
         raise DomainError(f"workers must be positive, got {workers}")
     thresholds = [r * math.log2(rho) for rho in rhos]
     counts = [0] * len(rhos)
-    for index, size in _block_bounds(n_samples):
-        block = _block_channels(config, channel_rng(seed, index), size)
-        for start in range(0, size, _CHUNK):
+    for block in _blocks(config, seed, n_samples):
+        for start in range(0, len(block[0]), _CHUNK):
             grams = _cut_grams(*(h[start : start + _CHUNK] for h in block))
             for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
                 _, rate = _switch_and_rate(*(_log2_det_eye_plus(rho, g) for g in grams))
@@ -407,12 +404,6 @@ def diversity_fit(estimates: Sequence[OutageEstimate]) -> SlopeFit:
 # eigenvalue statistics
 
 
-def _top_eigenvalues(config: AntennaConfig, rho: float, rng: np.random.Generator, count: int):
-    """Largest eigenvalue of each composite matrix for a block of samples."""
-    grams = _composite_grams(rho, *_block_channels(config, rng, count))
-    return tuple(np.linalg.eigvalsh(w)[:, -1] for w in grams)
-
-
 def conditional_independence_check(
     config: AntennaConfig,
     rho: float,
@@ -434,17 +425,12 @@ def conditional_independence_check(
         n_bins = max(2, n_samples // 50)
         note = f"reduced to {n_bins} bins to keep bins populated"
 
-    lam = np.empty(n_samples)
-    mu = np.empty(n_samples)
-    gam = np.empty(n_samples)
-    start = 0
-    for index, size in _block_bounds(n_samples):
-        rng = channel_rng(seed, index)
-        l, m_, g = _top_eigenvalues(config, rho, rng, size)
-        lam[start : start + size] = l
-        mu[start : start + size] = m_
-        gam[start : start + size] = g
-        start += size
+    # the largest eigenvalue of W1, W2 and W3 per sample, block by block
+    tops = ([], [], [])
+    for block in _blocks(config, seed, n_samples):
+        for top, w in zip(tops, _composite_grams(rho, *block)):
+            top.append(np.linalg.eigvalsh(w)[:, -1])
+    lam, mu, gam = (np.concatenate(top) for top in tops)
 
     shuffle_rng = channel_rng(seed, 2**32)
     order = np.argsort(lam, kind="stable")

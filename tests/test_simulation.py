@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaydmt import AntennaConfig, DomainError, rate_exponent
+from relaydmt import AntennaConfig, DomainError, ExponentTriple
 from relaydmt.simulate import (
     BLOCK_SIZE,
     ChannelSample,
@@ -88,12 +88,10 @@ def test_cutset_unit_direct_channel():
 
 def test_cutset_psd_monotonicity():
     c = AntennaConfig(2, 2, 2)
-    rng = channel_rng(21)
-    for _ in range(2000):
-        t = cutset_terms(sample_channel(c, rng), 50.0)
-        assert t.log_l_srd >= t.log_l_sd - 1e-9
-        assert t.log_l_s_rd >= t.log_l_sd - 1e-9
-        assert t.log_l_sd >= -1e-9
+    l_sd, l_srd, l_s_rd = _cut_log2dets(50.0, *_block_channels(c, channel_rng(21), 2000))
+    assert np.all(l_srd >= l_sd - 1e-9)
+    assert np.all(l_s_rd >= l_sd - 1e-9)
+    assert np.all(l_sd >= -1e-9)
 
 
 @pytest.mark.parametrize(
@@ -234,35 +232,15 @@ def test_eigen_exponents_equals_its_block_row(mkn):
         assert (t.alpha, t.beta, t.delta) == tuple(tuple(r[i].tolist()) for r in rows)
 
 
-def test_rate_consistency_improves_with_snr():
-    c = AntennaConfig(1, 1, 1)
-    medians = {}
-    for rho in (1e4, 1e8):
-        rng = channel_rng(11)
-        devs = []
-        for _ in range(1500):
-            s = sample_channel(c, rng)
-            devs.append(
-                abs(
-                    rate_upper(cutset_terms(s, rho)) / math.log2(rho)
-                    - rate_exponent(eigen_exponents(s, rho))
-                )
-            )
-        medians[rho] = float(np.median(devs))
-    assert medians[1e8] < medians[1e4]
-
-
 def test_support_violations_shrink_with_snr():
     from relaydmt import in_support
 
     c = AntennaConfig(1, 1, 1)
+    block = _block_channels(c, channel_rng(13), 2000)
     fractions = []
     for rho in (1e2, 1e4, 1e6):
-        rng = channel_rng(13)
-        bad = sum(
-            not in_support(c, eigen_exponents(sample_channel(c, rng), rho), slack=0.1)
-            for _ in range(2000)
-        )
+        rows = zip(*(r.tolist() for r in _eigen_exponent_rows(rho, *block)))
+        bad = sum(not in_support(c, ExponentTriple(*t), slack=0.1) for t in rows)
         fractions.append(bad / 2000)
     assert fractions[0] > fractions[1] > fractions[2]
 
@@ -292,12 +270,10 @@ def test_outage_interval_positive_with_zero_events():
 
 
 def test_outage_matches_per_sample_oracle():
-    # independent scalar-path recount over the identical blocked streams
+    # independent recount over the identical stream, drawn here by hand
     c = AntennaConfig(2, 1, 2)
     rho, r, n = 50.0, 1.0, 3000
     est = outage_probability(c, rho, r, n, seed=3)
-    threshold = r * math.log2(rho)
-    count = 0
     rng = channel_rng(3, 0)
     h_sd = np.empty((n, c.n, c.m), dtype=complex)
     h_sr = np.empty((n, c.k, c.m), dtype=complex)
@@ -305,10 +281,8 @@ def test_outage_matches_per_sample_oracle():
     scale = math.sqrt(0.5)
     for h, shape in ((h_sd, (n, c.n, c.m)), (h_sr, (n, c.k, c.m)), (h_rd, (n, c.n, c.k))):
         h[:] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for i in range(n):
-        sample = ChannelSample(h_sd[i], h_sr[i], h_rd[i])
-        if rate_upper(cutset_terms(sample, rho)) < threshold:
-            count += 1
+    _, rate = _switch_and_rate(*_cut_log2dets(rho, h_sd, h_sr, h_rd))
+    count = int((rate < r * math.log2(rho)).sum())
     assert est.p_out == pytest.approx(count / n, abs=1e-12)
 
 
@@ -362,12 +336,17 @@ def test_outage_sweep_equals_pointwise_calls(mkn):
 
 
 def test_block_layout_is_stable():
-    # more samples than one block exercises the multi-block path
+    # block 0 is a full block from stream (9, 0) and block 1 the 1,234-sample
+    # rest from stream (9, 1): a recount over exactly those draws
     c = AntennaConfig(1, 1, 1)
-    n = BLOCK_SIZE + 1234
-    a = outage_probability(c, 100.0, 0.5, n, seed=9, workers=2)
-    b = outage_probability(c, 100.0, 0.5, n, seed=9, workers=5)
-    assert a.p_out == b.p_out
+    rho, r = 100.0, 0.5
+    est = outage_probability(c, rho, r, BLOCK_SIZE + 1234, seed=9)
+    events = 0
+    for index, size in ((0, BLOCK_SIZE), (1, 1234)):
+        block = _block_channels(c, channel_rng(9, index), size)
+        _, rate = _switch_and_rate(*_cut_log2dets(rho, *block))
+        events += int((rate < r * math.log2(rho)).sum())
+    assert est.events == events > 0
 
 
 # ---------------------------------------------------------------------------
