@@ -32,8 +32,6 @@ EXIT_INSUFFICIENT_DATA = 4
 def _parse_grid(text: str) -> list:
     """Parse 'start:stop:step' (stop inclusive) or a comma list of reals."""
     text = text.strip()
-    if not text:
-        return []
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -43,19 +41,21 @@ def _parse_grid(text: str) -> list:
             raise ValueError(f"grid {text!r} has a non-finite start, stop or step")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        values = []
-        i = 0
+        last = (stop + 1e-9 - start) / step  # the grid is sized before it is built
+        if last >= 1e6:
+            raise ValueError(f"grid {text!r} has more than 1,000,000 points")
         # start + i*step, not a running sum, so long grids do not drift
-        while start + i * step <= stop + 1e-9:
-            values.append(round(start + i * step, 12))
-            i += 1
-        return values
+        return [round(start + i * step, 12) for i in range(math.floor(last) + 1)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relaydmt-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relaydmt-", suffix=".part")
+    except OSError as exc:
+        # name the requested path, not the hidden temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -287,7 +287,6 @@ def exponent_profile(level: float, length: int) -> tuple:
     """
     if length < 1:
         raise DomainError(f"profile length must be positive, got {length}")
-    if level < -_TOL or level > length + _TOL:
+    if not -_TOL <= level <= length + _TOL:
         raise DomainError(f"level {level} outside [0, {length}]")
-    level = min(max(level, 0.0), float(length))
     return tuple(_pos(1.0 - _pos(level - i)) for i in range(length))

@@ -418,8 +418,12 @@ def conditional_independence_check(
     each bin the report records the correlation of the two hop eigenvalues,
     alongside a shuffled-pairing control and the unconditional correlation.
     """
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
+    if n_bins < 1:
+        raise DomainError(f"need at least 1 bin, got {n_bins}")
     note = ""
     if n_samples < 50 * n_bins:
         n_bins = max(2, n_samples // 50)

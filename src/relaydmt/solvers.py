@@ -205,24 +205,20 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
     The rate level a + min(t b, (1 - t) s) makes the outage set the union of
     a listen half-space a + t b <= r, with the out-hop level s free and so at
     its cap, and a transmit half-space a + (1 - t) s <= r, with b at its cap.
-    On either plane the objective is piecewise linear in a, so
-    :func:`_best_vertex` scores the planes' kink-line crossings.
+    On either plane a + w x = r the objective is piecewise linear in a, so
+    :func:`_best_vertex` scores its kinks: integer a (where the cap kinks too),
+    x = j (a = r - w j) and a + x = c (a = (r - w c)/(1 - w)), j, c <= max(m, n).
     """
     r = _check_r(r, float(config.max_mux))
-    points, directions = _kink_lines(config)
     t = _LISTEN
-    ends = []
-    for normal in ((1.0, t, 0.0), (1.0, 0.0, 1.0 - t)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (r - points @ normal) / (directions @ normal)
-        found = np.isfinite(step)  # lines parallel to the plane give no point
-        a = points[found, 0] + step[found] * directions[found, 0]
-        ends.append(np.unique(np.append(a, r)))
-    # the branches are indexed, not told apart by weight: at t = 1/2 both are 1/2
-    listen, transmit = ends
+    levels = np.arange(max(config.m, config.n) + 1.0)
+    listen, transmit = (
+        np.unique(np.concatenate([levels, r - w * levels, (r - w * levels) / (1.0 - w)]))
+        for w in (t, 1.0 - t)
+    )
     b = np.concatenate([(r - listen) / t, np.minimum(config.p, config.m - transmit)])
     s = np.concatenate([np.minimum(config.q, config.n - listen), (r - transmit) / (1 - t)])
-    return _best_vertex(config, r, np.concatenate(ends), b, s, "static-exact")
+    return _best_vertex(config, r, np.concatenate([listen, transmit]), b, s, "static-exact")
 
 
 # ---------------------------------------------------------------------------

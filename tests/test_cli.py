@@ -30,6 +30,11 @@ def test_parse_grid_forms():
     for text in ("0:1:nan", "nan:1:0.5", "0:1:inf", "0:inf:0.5"):
         with pytest.raises(ValueError, match="non-finite"):
             _parse_grid(text)
+    # a grid past 1,000,000 points is refused, by name, before it is built
+    for text in ("0:1:1e-12", "0:1000000:1", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match="more than 1,000,000 points") as err:
+            _parse_grid(text)
+        assert text in str(err.value)
 
 
 def test_parse_grid_long_grid_does_not_drift():
@@ -105,6 +110,14 @@ def test_curve_validation_failures():
         main(["curve", "--m", "0", "--k", "1", "--n", "1", "--r", "0:1:0.5"])
         == EXIT_BAD_CONFIG
     )
+
+
+def test_curve_out_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "curves.json"
+    code = main(["curve", "--r", "0:1:0.5", "--out", str(out)])
+    assert code == EXIT_BAD_CONFIG
+    assert str(out) in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.part"))
 
 
 def test_curve_solver_refusal_exit_code(monkeypatch, capsys):

@@ -208,6 +208,8 @@ def test_profile_domain_errors():
     with pytest.raises(DomainError):
         exponent_profile(2.5, 2)
     with pytest.raises(DomainError):
+        exponent_profile(float("nan"), 2)
+    with pytest.raises(DomainError):
         exponent_profile(0.5, 0)
 
 

@@ -335,20 +335,6 @@ def test_outage_sweep_equals_pointwise_calls(mkn):
         assert isinstance(e.events, int) and e.events > 0 and e.events / n == e.p_out
 
 
-def test_block_layout_is_stable():
-    # block 0 is a full block from stream (9, 0) and block 1 the 1,234-sample
-    # rest from stream (9, 1): a recount over exactly those draws
-    c = AntennaConfig(1, 1, 1)
-    rho, r = 100.0, 0.5
-    est = outage_probability(c, rho, r, BLOCK_SIZE + 1234, seed=9)
-    events = 0
-    for index, size in ((0, BLOCK_SIZE), (1, 1234)):
-        block = _block_channels(c, channel_rng(9, index), size)
-        _, rate = _switch_and_rate(*_cut_log2dets(rho, *block))
-        events += int((rate < r * math.log2(rho)).sum())
-    assert est.events == events > 0
-
-
 # ---------------------------------------------------------------------------
 # slope fitting
 
@@ -437,6 +423,16 @@ def test_independence_report_reduces_overfine_binning():
     )
     assert rep.n_bins <= 20
     assert rep.note != ""
+
+
+def test_independence_report_rejects_bad_requests():
+    c = AntennaConfig(1, 1, 1)
+    for rho in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="rho must be positive and finite"):
+            conditional_independence_check(c, rho, 2000, 10, seed=1)
+    for n_bins in (0, -3):
+        with pytest.raises(DomainError, match="at least 1 bin"):
+            conditional_independence_check(c, 100.0, 2000, n_bins, seed=1)
 
 
 def test_interior_bins_decorrelate():
