@@ -4,6 +4,7 @@ outage runs and the verify battery, with JSON/CSV output for plotting."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -51,24 +52,31 @@ def _parse_grid(text: str) -> list:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = ""
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relaydmt-", suffix=".part")
-    except OSError as exc:
-        # name the requested path, not the hidden temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # name the requested path, not the hidden temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args: argparse.Namespace, record, header: str, rows) -> None:
+    """Write the machine output, the one place that turns a result into text:
+    ``record`` as indented JSON, or ``header`` and then one CSV line per row
+    (floats to 12 significant digits).  ``rows`` is only read for CSV."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2)
+    else:
+        lines = (",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
+                 for row in rows)
+        text = "\n".join([header, *lines])
+    text += "\n"
     if args.out:
         _write_atomic(args.out, text)
     else:
@@ -81,26 +89,14 @@ def _summary(args: argparse.Namespace, line: str) -> None:
     print(line, file=sys.stdout if args.out else sys.stderr)
 
 
-def _curves_to_json(curves) -> str:
-    return json.dumps([c.to_record() for c in curves], indent=2)
-
-
-def _curves_to_csv(curves) -> str:
-    rows = ["r,d,variant,m,k,n"]
-    for c in curves:
-        cfg = c.config
-        for p in c.points:
-            rows.append(f"{p.r:.12g},{p.d:.12g},{c.variant},{cfg.m},{cfg.k},{cfg.n}")
-    return "\n".join(rows)
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if not args.variants:
         raise ConfigurationError("no variants requested")
     curves = [dmt_curve(config, v, args.r) for v in args.variants]
-    text = _curves_to_json(curves) if args.format == "json" else _curves_to_csv(curves)
-    _emit(args, text)
+    rows = ((p.r, p.d, c.variant, config.m, config.k, config.n)
+            for c in curves for p in c.points)
+    _emit(args, [c.to_record() for c in curves], "r,d,variant,m,k,n", rows)
     return EXIT_OK
 
 
@@ -108,33 +104,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if len(args.variants) < 2:
         raise ConfigurationError("compare needs at least two variants")
-    curves = {v: dmt_curve(config, v, args.r) for v in args.variants}
-    values = {v: [p.d for p in c.points] for v, c in curves.items()}
-    gaps = {}
-    names = list(args.variants)
-    for i, va in enumerate(names):
-        for vb in names[i + 1 :]:
-            gaps[f"{va}|{vb}"] = max(
-                abs(x - y) for x, y in zip(values[va], values[vb])
-            )
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "config": {"m": args.m, "k": args.k, "n": args.n},
-                "r_grid": args.r,
-                "values": values,
-                "max_gaps": gaps,
-            },
-            indent=2,
-        )
-    else:
-        rows = ["r," + ",".join(names)]
-        for i, r in enumerate(args.r):
-            rows.append(
-                f"{r:.12g}," + ",".join(f"{values[v][i]:.12g}" for v in names)
-            )
-        text = "\n".join(rows)
-    _emit(args, text)
+    values = {v: [p.d for p in dmt_curve(config, v, args.r).points] for v in args.variants}
+    gaps = {
+        f"{va}|{vb}": max(abs(x - y) for x, y in zip(values[va], values[vb]))
+        for va, vb in itertools.combinations(args.variants, 2)
+    }
+    record = {
+        "config": {"m": args.m, "k": args.k, "n": args.n},
+        "r_grid": args.r,
+        "values": values,
+        "max_gaps": gaps,
+    }
+    rows = zip(args.r, *(values[v] for v in args.variants))
+    _emit(args, record, ",".join(["r", *args.variants]), rows)
     for pair, gap in gaps.items():
         _summary(args, f"max gap {pair}: {gap:.6g}")
     return EXIT_OK
@@ -166,17 +148,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "slope": {"slope": fit.slope, "stderr": fit.stderr},
         "analytic_d": analytic,
     }
-    if args.format == "json":
-        text = json.dumps(record, indent=2)
-    else:
-        rows = ["snr_db,rho,r,p_out,n_samples,ci_half_width"]
-        for db, e in zip(args.snr_db, estimates):
-            rows.append(
-                f"{db:.12g},{e.rho:.12g},{r:.12g},{e.p_out:.12g},"
-                f"{e.n_samples},{e.ci_half_width:.12g}"
-            )
-        text = "\n".join(rows)
-    _emit(args, text)
+    rows = ((db, e.rho, r, e.p_out, e.n_samples, e.ci_half_width)
+            for db, e in zip(args.snr_db, estimates))
+    _emit(args, record, "snr_db,rho,r,p_out,n_samples,ci_half_width", rows)
     _summary(
         args,
         f"fitted slope {fit.slope:.4f} (stderr {fit.stderr:.4f}), "

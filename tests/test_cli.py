@@ -120,6 +120,18 @@ def test_curve_out_into_missing_directory(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.part"))
 
 
+def test_curve_out_onto_existing_directory(tmp_path, capsys):
+    # the rename onto a directory fails after the temp file was written
+    out = tmp_path / "taken"
+    out.mkdir()
+    code = main(["curve", "--r", "0:1:0.5", "--out", str(out)])
+    assert code == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert ".part" not in err
+    assert not list(tmp_path.rglob("*.part"))
+
+
 def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
     # no shipped variant refuses today; the exit-code mapping stays public
     from relaydmt import solvers
@@ -192,6 +204,16 @@ def test_compare_identical_variant_gap_zero(tmp_path):
     assert json.loads(out.read_text())["max_gaps"]["ptp|ptp"] == 0.0
 
 
+def test_compare_csv_rows(capsys):
+    code = main(
+        ["compare", "--m", "2", "--k", "1", "--n", "2",
+         "--variants", "ptp,fd", "--r", "0,1,2", "--format", "csv"]
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["r,ptp,fd", "0,4,6"]
+
+
 def test_compare_needs_two_variants():
     code = main(
         ["compare", "--m", "1", "--k", "1", "--n", "1",
@@ -229,6 +251,20 @@ def test_simulate_stdout_is_pure_json(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["analytic_d"] == pytest.approx(1.0, abs=1e-9)
     assert "fitted slope" in captured.err
+
+
+def test_simulate_csv_rows(capsys):
+    code = main(
+        ["simulate", "--m", "1", "--k", "1", "--n", "1", "--r", "0.5",
+         "--snr-db", "10:20:5", "--samples", "20000", "--seed", "7",
+         "--format", "csv"]
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "snr_db,rho,r,p_out,n_samples,ci_half_width",
+        "10,10,0.5,0.0628,20000,0.00336302983026",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,9 @@ def test_outage_reproducible_and_worker_invariant():
     a = outage_probability(c, 100.0, 0.5, 20_000, seed=7, workers=1)
     b = outage_probability(c, 100.0, 0.5, 20_000, seed=7, workers=3)
     assert a.p_out == b.p_out
+    # pinned across versions: a change to the draw, the block layout or the
+    # cut kernel that moves the count fails here
+    assert a.events == 350
     # Wilson score interval: half-length from its two explicit endpoints
     n, p, z = a.n_samples, a.p_out, 1.96
     centre = (p + z * z / (2 * n)) / (1 + z * z / n)
