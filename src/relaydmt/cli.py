@@ -218,8 +218,6 @@ def main(argv=None) -> int:
                 setattr(args, name, _parse_grid(getattr(args, name)))
         if hasattr(args, "variants"):
             args.variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        if not 0 <= getattr(args, "seed", 0) < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {args.seed}")
         handler = {
             "curve": cmd_curve,
             "compare": cmd_compare,

@@ -13,6 +13,7 @@ realises it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -26,6 +27,12 @@ class DomainError(ValueError):
 
 class ConfigurationError(ValueError):
     """A request is inconsistent with the antenna configuration."""
+
+
+def _check_count(value, name: str) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _pos(x: float) -> float:
@@ -43,11 +50,7 @@ class AntennaConfig:
 
     def __post_init__(self):
         for name in ("m", "k", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
 
     @property
     def u(self) -> int:
@@ -145,8 +148,7 @@ def ptp_dmt(nt: int, nr: int, r: float) -> float:
     Piecewise linear between the integer corner points (j, (nt-j)(nr-j)),
     j = 0..min(nt, nr); exact at integer r.
     """
-    if nt < 1 or nr < 1:
-        raise DomainError(f"antenna counts must be positive, got ({nt}, {nr})")
+    nt, nr = _check_count(nt, "nt"), _check_count(nr, "nr")
     top = min(nt, nr)
     r = _check_r(r, top)
     j = min(int(r), top - 1)
@@ -246,8 +248,10 @@ def in_support(config: AntennaConfig, triple: ExponentTriple, slack: float = 0.0
     every pair beyond the rank budget of the source side (index sums above m)
     and likewise alpha[i] + delta[l] >= 1 beyond the destination side.  A
     positive ``slack`` loosens every inequality by that amount (used for
-    finite-SNR empirical checks).
+    finite-SNR empirical checks); a negative one tightens it.
     """
+    if not math.isfinite(slack):
+        raise DomainError(f"slack must be finite, got {slack}")
     _check_lengths(config, triple)
     m, n = config.m, config.n
     u, p, q = config.u, config.p, config.q

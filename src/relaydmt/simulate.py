@@ -43,6 +43,10 @@ class ChannelSample:
     h_sr: np.ndarray  # k x m, source -> relay
     h_rd: np.ndarray  # n x k, relay -> destination
 
+    def __post_init__(self):
+        if not all(np.isfinite(h).all() for h in (self.h_sd, self.h_sr, self.h_rd)):
+            raise DomainError("channel matrices contain non-finite entries")
+
 
 @dataclass(frozen=True)
 class CutsetTerms:
@@ -93,7 +97,9 @@ class IndependenceReport:
 
 def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams never overlap."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(stream)], dtype=np.uint64)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -217,9 +223,6 @@ def cutset_terms(sample: ChannelSample, rho: float) -> CutsetTerms:
     """Evaluate the three cut log determinants in the log domain."""
     if not 0.0 < rho < math.inf:
         raise DomainError(f"rho must be positive and finite, got {rho}")
-    for h in (sample.h_sd, sample.h_sr, sample.h_rd):
-        if not np.all(np.isfinite(h)):
-            raise ValueError("channel matrices contain non-finite entries")
     l_sd, l_srd, l_s_rd = _cut_log2dets(
         rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None]
     )

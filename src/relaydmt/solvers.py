@@ -26,6 +26,8 @@ from .core import (
     DmtPoint,
     DomainError,
     ExponentTriple,
+    _TOL,
+    _check_count,
     _check_r,
     _coeffs,
     exponent_profile,
@@ -33,7 +35,6 @@ from .core import (
     ptp_dmt,
 )
 
-_TOL = 1e-9
 # slack for float dust on a computed vertex before it is tested against the caps
 _ROOT_TOL = 1e-12
 # listen fraction of the fixed relay schedule
@@ -307,8 +308,7 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
 
 def dmt_1k1(k: int, r: float) -> float:
     """Closed-form tradeoff of the (1, k, 1) relay channel."""
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+    k = _check_count(k, "k")
     r = _check_r(r, 1)
     if r <= 1.0 / (k + 1):
         return (k + 1) * (1.0 - r)
@@ -320,16 +320,14 @@ def dmt_1k1(k: int, r: float) -> float:
 def dmt_n1n(n: int, r: float) -> float:
     """Closed-form tradeoff of the (n, 1, n) relay channel: the (n+1) x n
     point-to-point curve, (n - r)(n + 1 - r) at integer r."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    n = _check_count(n, "n")
     return ptp_dmt(n + 1, n, r)
 
 
 def dmt_ddf_1k1(k: int, r: float) -> float:
     """Tradeoff achieved on (1, k, 1) when the relay decodes before
     forwarding; optimal below r = 1/2, (1 - r)/r above."""
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+    k = _check_count(k, "k")
     r = _check_r(r, 1)
     if r <= 0.5:
         return dmt_1k1(k, r)
@@ -345,8 +343,7 @@ def dmt_static_1k1(k: int, r: float) -> float:
     a = max(0, 2r - 1); the transmit plane is its mirror image.  So
     d = (k + 1) - 2kr on [0, 1/2] and 2(1 - r) on [1/2, 1].
     """
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+    k = _check_count(k, "k")
     r = _check_r(r, 1)
     if r <= 0.5:
         return (k + 1) - 2.0 * k * r
@@ -368,8 +365,7 @@ def _saturated_out_hop_bound(n: int, k: int, N: int, r: float) -> float:
 def dmt_symmetric_upper(n: int, k: int, r: float) -> float:
     """Upper bound on the (n, k, n) tradeoff: minimum of the pinned-level
     bounds whose stated r-interval contains r."""
-    if n < 1 or k < 1:
-        raise DomainError(f"antenna counts must be positive, got ({n}, {k})")
+    n, k = _check_count(n, "n"), _check_count(k, "k")
     r = _check_r(r, n)
     p = min(n, k)
     bounds = [ptp_dmt(n, n + k, r)]
@@ -404,8 +400,7 @@ def solve_static_n1n(n: int, r: float) -> SolveResult:
     """:func:`solve_static` on the (n, 1, n) channel, with the argmin given
     as the direct exponents alpha = profile(a) and the single in-hop
     exponent beta = 1 - b."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    n = _check_count(n, "n")
     res = solve_static(AntennaConfig(n, 1, n), r)
     argmin = ExponentTriple(exponent_profile(res.argmin.a, n), (1.0 - res.argmin.b,), ())
     return replace(res, argmin=argmin)

@@ -75,7 +75,7 @@ def test_ptp_domain_errors():
         ptp_dmt(2, 2, -0.1)
     with pytest.raises(DomainError):
         ptp_dmt(2, 3, 2.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         ptp_dmt(0, 2, 0.0)
 
 
@@ -136,6 +136,19 @@ def test_support_negative_entries_rejected():
     c = AntennaConfig(1, 1, 1)
     assert not in_support(c, make_triple([-0.5], [1.6], [1.6]))
     assert in_support(c, make_triple([-0.5], [1.6], [1.6]), slack=0.6)
+
+
+def test_support_refuses_non_finite_slack():
+    c = AntennaConfig(1, 1, 1)
+    zero = make_triple([0.0], [0.0], [0.0])
+    assert not in_support(c, zero)
+    for slack in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            in_support(c, zero, slack=slack)
+    # a negative slack tightens: a triple on the boundary drops out
+    edge = make_triple([0.5], [0.5], [0.5])
+    assert in_support(c, edge)
+    assert not in_support(c, edge, slack=-0.1)
 
 
 def test_support_closure_of_profiles():

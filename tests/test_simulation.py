@@ -215,6 +215,13 @@ def test_eigen_exponents_floor_handles_zero_channel():
     assert all(math.isfinite(x) for x in t.alpha + t.beta + t.delta)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eigen_exponents_rejects_non_finite_channel(bad):
+    # the sample refuses the entry before either solve runs
+    with pytest.raises(DomainError, match="non-finite entries"):
+        eigen_exponents(scalar_sample(1, bad, 1), 100.0)
+
+
 def test_eigen_exponents_requires_rho_above_one():
     for rho in (1.0, math.inf, math.nan):
         with pytest.raises(DomainError):

@@ -88,7 +88,7 @@ def test_closed_form_domain_errors():
         dmt_1k1(2, 1.5)
     with pytest.raises(DomainError):
         dmt_n1n(2, -0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         dmt_ddf_1k1(0, 0.5)
 
 
@@ -316,7 +316,7 @@ def test_static_n1n_large_n_matches_closed_form():
             )
     with pytest.raises(DomainError):
         solve_static_n1n(2, -0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         solve_static_n1n(0, 0.0)
 
 
