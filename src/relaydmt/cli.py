@@ -4,6 +4,7 @@ outage runs and the verify battery, with JSON/CSV output for plotting."""
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -165,6 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaydmt",

@@ -97,8 +97,10 @@ class IndependenceReport:
 
 def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams never overlap."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    for name, value in (("seed", seed), ("stream", stream)):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or not 0 <= value < 2**64:
+            raise DomainError(f"{name} must fit in 64 bits, got {value}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

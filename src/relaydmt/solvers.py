@@ -23,7 +23,6 @@ from .core import (
     AntennaConfig,
     ConfigurationError,
     DmtCurve,
-    DmtPoint,
     DomainError,
     ExponentTriple,
     _TOL,
@@ -39,6 +38,8 @@ from .core import (
 _ROOT_TOL = 1e-12
 # listen fraction of the fixed relay schedule
 _LISTEN = 0.5
+# r values one engine pass solves together; caps its lines x r temporaries
+_R_BLOCK = 32
 
 
 class SolverRefusal(RuntimeError):
@@ -121,16 +122,17 @@ def _kink_lines(config: AntennaConfig):
     return points, directions
 
 
-def _surface_crossings(r: float, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Where each line x0 + t d meets the rate surface (r - a)(b + s) = b s.
+def _surface_crossings(r: np.ndarray, points: np.ndarray, directions: np.ndarray):
+    """Where each line x0 + t d meets the rate surface (r - a)(b + s) = b s of each r.
 
     The surface equation is a quadratic in t; lines on which it vanishes
     identically (the a = r axes and the spurious b = s = 0 line) and lines
-    that miss the surface give no point.  Returns the crossings as rows.
+    that miss the surface give no point.  Returns the crossings as rows and
+    the index of the r each belongs to, grouped by r.
     """
     a0, b0, s0 = points.T
     da, db, ds = directions.T
-    rest = r - a0
+    rest = r[:, None] - a0
     qa = -da * (db + ds) - db * ds
     qb = rest * (db + ds) - da * (b0 + s0) - b0 * ds - db * s0
     qc = rest * (b0 + s0) - b0 * s0
@@ -140,10 +142,25 @@ def _surface_crossings(r: float, points: np.ndarray, directions: np.ndarray) -> 
         quadratic = qa != 0.0
         t1 = np.where(quadratic, q / qa, -qc / qb)
         t2 = np.where(quadratic, qc / q, np.nan)
-    t = np.concatenate([t1, t2])
+    t = np.concatenate([t1, t2], axis=1)
     found = np.isfinite(t)
-    line = np.tile(np.arange(len(points)), 2)[found]
-    return points[line] + t[found, None] * directions[line]
+    group, root = np.nonzero(found)
+    line = root % len(points)
+    return points[line] + t[found][:, None] * directions[line], group
+
+
+def _two_var_block(config: AntennaConfig, r: np.ndarray):
+    """:func:`_best_vertex` over the crossings of every r, each followed by
+    its a = r axis ends (r, 0, s_cap) and (r, b_cap, 0)."""
+    rows, group = _surface_crossings(r, *_kink_lines(config))
+    crossing = rows[:, 1] + rows[:, 2] > _ROOT_TOL
+    ends = np.zeros((2, len(r), 3))
+    ends[..., 0] = r
+    ends[0, :, 2] = np.minimum(config.q, config.n - r)
+    ends[1, :, 1] = np.minimum(config.p, config.m - r)
+    index = np.arange(len(r))
+    a, b, s = np.concatenate([rows[crossing], *ends]).T
+    return _best_vertex(config, r, np.concatenate([group[crossing], index, index]), a, b, s)
 
 
 def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
@@ -156,31 +173,28 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
     the minimum sits at a vertex: a point where two kink planes cross the
     surface, or an end of the a = r axis segments (r, 0, s_cap) and
     (r, b_cap, 0).  They are scored at once by :func:`_best_vertex`, and
-    ``evaluations`` counts those inside the caps.
+    ``evaluations`` counts those inside the caps.  A batch of one r of the
+    engine that :func:`dmt_curve` runs over a whole grid.
     """
-    r = _check_r(r, float(config.max_mux))
-    a, b, s = _surface_crossings(r, *_kink_lines(config)).T
-    crossing = b + s > _ROOT_TOL
-    a = np.append(a[crossing], [r, r])
-    b = np.append(b[crossing], [0.0, min(config.p, config.m - r)])
-    s = np.append(s[crossing], [min(config.q, config.n - r), 0.0])
-    return _best_vertex(config, r, a, b, s, "two-var")
+    return _solve_one(_two_var_block, config, r, "two-var")
 
 
-def _best_vertex(config: AntennaConfig, r: float, a, b, s, method: str) -> SolveResult:
-    """Score the candidates with 0 <= a <= r inside the level caps, with the
-    ``_ROOT_TOL`` dust clipped; ties within 1e-9 go to the smallest a, then b."""
+def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
+    """Score the candidates with 0 <= a <= r[group] inside the level caps,
+    with the ``_ROOT_TOL`` dust clipped, and keep the least per r; ties
+    within 1e-9 go to the smallest a, then b.  Returns the columns d, a, b,
+    s and evaluations, one entry per r."""
     b_cap = np.minimum(config.p, config.m - a)
     s_cap = np.minimum(config.q, config.n - a)
     inside = (
         (a >= -_ROOT_TOL)
-        & (a <= r + _ROOT_TOL)
+        & (a <= r[group] + _ROOT_TOL)
         & (b >= -_ROOT_TOL)
         & (b <= b_cap + _ROOT_TOL)
         & (s >= -_ROOT_TOL)
         & (s <= s_cap + _ROOT_TOL)
     )
-    a = a[inside]
+    group, a = group[inside], a[inside]
     b = np.clip(b[inside], 0.0, b_cap[inside])
     s = np.clip(s[inside], 0.0, s_cap[inside])
     values = _objective_rows(
@@ -189,14 +203,49 @@ def _best_vertex(config: AntennaConfig, r: float, a, b, s, method: str) -> Solve
         _profile_rows(b, config.p),
         _profile_rows(s, config.q),
     )
-    near = np.flatnonzero(values <= values.min() + 1e-9)
-    best = near[np.lexsort((b[near], a[near]))[0]]
-    return SolveResult(
-        d=max(float(values[best]), 0.0),
-        argmin=LevelTriple(a=float(a[best]), b=float(b[best]), s=float(s[best])),
-        method=method,
-        evaluations=int(values.size),
+    least = np.full(len(r), np.inf)
+    np.minimum.at(least, group, values)
+    near = np.flatnonzero(values <= least[group] + 1e-9)
+    near = near[np.lexsort((b[near], a[near], group[near]))]
+    best = near[np.searchsorted(group[near], np.arange(len(r)))]  # the first of each r
+    evaluations = np.bincount(group, minlength=len(r))
+    return np.maximum(values[best], 0.0), a[best], b[best], s[best], evaluations
+
+
+def _solve_grid(block, config: AntennaConfig, r_grid):
+    """Columns d, a, b, s, evaluations of ``block`` over the grid, solved
+    ``_R_BLOCK`` r at a time; every r passes ``_check_r`` first."""
+    r = np.array([_check_r(x, float(config.max_mux)) for x in r_grid], dtype=float)
+    parts = [block(config, r[i:i + _R_BLOCK]) for i in range(0, len(r), _R_BLOCK)]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _solve_one(block, config: AntennaConfig, r: float, method: str) -> SolveResult:
+    """``block`` at the one r, as a SolveResult."""
+    d, a, b, s, evaluations = (column[0].item() for column in _solve_grid(block, config, [r]))
+    return SolveResult(d, LevelTriple(a, b, s), method, evaluations)
+
+
+def _static_block(config: AntennaConfig, r: np.ndarray):
+    """:func:`_best_vertex` over the listen-plane then the transmit-plane
+    kinks of every r (see :func:`solve_static`)."""
+    t, levels = _LISTEN, np.arange(max(config.m, config.n) + 1.0)
+
+    def kinks(w):  # np.unique of a = i, r - w j, (r - w c)/(1 - w) per r, flat
+        rest = r[:, None] - w * levels
+        rows = np.concatenate([np.broadcast_to(levels, rest.shape), rest, rest / (1.0 - w)], axis=1)
+        rows.sort(axis=1)
+        keep = np.ones(rows.shape, dtype=bool)
+        keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        return rows[keep], np.nonzero(keep)[0]
+
+    (listen, in_listen), (transmit, in_transmit) = kinks(t), kinks(1.0 - t)
+    b = np.concatenate([(r[in_listen] - listen) / t, np.minimum(config.p, config.m - transmit)])
+    s = np.concatenate(
+        [np.minimum(config.q, config.n - listen), (r[in_transmit] - transmit) / (1 - t)]
     )
+    group = np.concatenate([in_listen, in_transmit])
+    return _best_vertex(config, r, group, np.concatenate([listen, transmit]), b, s)
 
 
 def solve_static(config: AntennaConfig, r: float) -> SolveResult:
@@ -209,17 +258,9 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
     On either plane a + w x = r the objective is piecewise linear in a, so
     :func:`_best_vertex` scores its kinks: integer a (where the cap kinks too),
     x = j (a = r - w j) and a + x = c (a = (r - w c)/(1 - w)), j, c <= max(m, n).
+    A batch of one r, like :func:`solve_two_var`.
     """
-    r = _check_r(r, float(config.max_mux))
-    t = _LISTEN
-    levels = np.arange(max(config.m, config.n) + 1.0)
-    listen, transmit = (
-        np.unique(np.concatenate([levels, r - w * levels, (r - w * levels) / (1.0 - w)]))
-        for w in (t, 1.0 - t)
-    )
-    b = np.concatenate([(r - listen) / t, np.minimum(config.p, config.m - transmit)])
-    s = np.concatenate([np.minimum(config.q, config.n - listen), (r - transmit) / (1 - t)])
-    return _best_vertex(config, r, np.concatenate([listen, transmit]), b, s, "static-exact")
+    return _solve_one(_static_block, config, r, "static-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +455,24 @@ _ONE_K_ONE = ("m = n = 1", lambda c: c.m == 1 and c.n == 1)
 _N_ONE_N = ("m = n and k = 1", lambda c: c.m == c.n and c.k == 1)
 _N_K_N = ("m = n", lambda c: c.m == c.n)
 
-# name -> (configurations it is defined on, d at r); each function refuses
-# an r outside its own domain [0, max_mux]
+
+def _pointwise(fn):
+    """A scalar d(config, r) as a registry entry over the whole grid."""
+    return lambda c, grid: [fn(c, r) for r in grid]
+
+
+# name -> (configurations it is defined on, the d list of an r grid); every
+# entry refuses an r outside its own domain [0, max_mux]
 _REGISTRY = {
-    "hd-dynamic": (None, lambda c, r: solve_two_var(c, r).d),
-    "fd": (None, lambda c, r: fd_dmt(c, r)),
-    "ptp": (None, lambda c, r: ptp_dmt(c.m, c.n, r)),
-    "closed-1k1": (_ONE_K_ONE, lambda c, r: dmt_1k1(c.k, r)),
-    "closed-n1n": (_N_ONE_N, lambda c, r: dmt_n1n(c.n, r)),
-    "symmetric-upper": (_N_K_N, lambda c, r: dmt_symmetric_upper(c.n, c.k, r)),
-    "ddf-1k1": (_ONE_K_ONE, lambda c, r: dmt_ddf_1k1(c.k, r)),
-    "static-1k1": (_ONE_K_ONE, lambda c, r: dmt_static_1k1(c.k, r)),
-    "hd-static": (None, lambda c, r: solve_static(c, r).d),
+    "hd-dynamic": (None, lambda c, grid: _solve_grid(_two_var_block, c, grid)[0].tolist()),
+    "fd": (None, _pointwise(fd_dmt)),
+    "ptp": (None, _pointwise(lambda c, r: ptp_dmt(c.m, c.n, r))),
+    "closed-1k1": (_ONE_K_ONE, _pointwise(lambda c, r: dmt_1k1(c.k, r))),
+    "closed-n1n": (_N_ONE_N, _pointwise(lambda c, r: dmt_n1n(c.n, r))),
+    "symmetric-upper": (_N_K_N, _pointwise(lambda c, r: dmt_symmetric_upper(c.n, c.k, r))),
+    "ddf-1k1": (_ONE_K_ONE, _pointwise(lambda c, r: dmt_ddf_1k1(c.k, r))),
+    "static-1k1": (_ONE_K_ONE, _pointwise(lambda c, r: dmt_static_1k1(c.k, r))),
+    "hd-static": (None, lambda c, grid: _solve_grid(_static_block, c, grid)[0].tolist()),
 }
 VARIANTS = tuple(_REGISTRY)
 
@@ -440,5 +487,4 @@ def dmt_curve(config: AntennaConfig, variant: str, r_grid: Sequence[float]) -> D
     grid = [float(r) for r in r_grid]
     if not grid:
         raise DomainError("r grid is empty")
-    points = tuple(DmtPoint(r, fn(config, r)) for r in grid)
-    return DmtCurve(config=config, variant=variant, points=points)
+    return DmtCurve(config=config, variant=variant, points=tuple(zip(grid, fn(config, grid))))

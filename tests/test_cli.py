@@ -136,7 +136,7 @@ def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
     # no shipped variant refuses today; the exit-code mapping stays public
     from relaydmt import solvers
 
-    def refuse(config, r):
+    def refuse(config, grid):
         raise solvers.SolverRefusal("over the size cap")
 
     monkeypatch.setitem(solvers._REGISTRY, "hd-static", (None, refuse))
@@ -146,6 +146,40 @@ def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
     )
     assert code == EXIT_SOLVER_REFUSED
     assert "solver refused: over the size cap" in capsys.readouterr().err
+
+
+def test_curve_bad_r_mid_grid_exits_2(capsys):
+    code = main(["curve", "--m", "1", "--k", "2", "--n", "1",
+                 "--variants", "hd-dynamic,hd-static", "--r", "0.25,1.5,0.75"])
+    assert code == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: r=1.5 outside [0, 1.0]" in captured.err
+
+
+def test_main_calls_in_one_process_parse_their_own_argv(capsys):
+    from relaydmt.cli import build_parser
+
+    assert build_parser() is build_parser()  # built once per process
+    records = []
+    for variants, grid in (("hd-dynamic", "0:1:0.5"), ("fd,ptp", "0.25,0.75")):
+        code = main(["curve", "--m", "1", "--k", "2", "--n", "1",
+                     "--variants", variants, "--r", grid])
+        assert code == EXIT_OK
+        records.append(json.loads(capsys.readouterr().out))
+    assert [c["variant"] for c in records[0]] == ["hd-dynamic"]
+    assert [p["r"] for p in records[0][0]["points"]] == [0.0, 0.5, 1.0]
+    assert [c["variant"] for c in records[1]] == ["fd", "ptp"]
+    assert [p["r"] for p in records[1][1]["points"]] == [0.25, 0.75]
+    # a bad argv still exits through argparse with status 2
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--m", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+    assert main(["curve", "--r", "0.5"]) == EXIT_OK
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["variant"] == "hd-dynamic"
+    assert [p["r"] for p in record["points"]] == [0.5]
 
 
 def test_curve_static_n1n_beyond_old_cap(capsys):
@@ -303,7 +337,7 @@ def _biased_profile(level, length):
 
 def _shift_variant(monkeypatch, variant, shift):
     needs, fn = solvers._REGISTRY[variant]
-    monkeypatch.setitem(solvers._REGISTRY, variant, (needs, lambda c, r: fn(c, r) + shift))
+    monkeypatch.setitem(solvers._REGISTRY, variant, (needs, lambda c, grid: [d + shift for d in fn(c, grid)]))
 
 
 # an upper bound is lowered, not raised: raising it cannot break a <= check

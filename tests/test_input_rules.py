@@ -1,5 +1,5 @@
 """One owner per input rule: every antenna count goes through AntennaConfig's
-check, and channel_rng owns the seed range."""
+check, and channel_rng owns the seed and stream range."""
 
 import re
 
@@ -59,6 +59,18 @@ def test_config_stores_numpy_integers_as_int():
 def test_channel_rng_refuses_seed_outside_64_bits(seed):
     with pytest.raises(DomainError, match="^seed must fit in 64 bits, got "):
         channel_rng(seed)
+
+
+@pytest.mark.parametrize("stream", [1.5, -1, 2**64, True], ids=repr)
+def test_channel_rng_refuses_stream_outside_64_bits(stream):
+    # 1.5 used to give stream 1's generator, -1 and 2**64 a bare OverflowError
+    with pytest.raises(DomainError, match=f"^stream must fit in 64 bits, got {re.escape(str(stream))}$"):
+        channel_rng(0, stream)
+
+
+def test_channel_rng_takes_the_whole_64_bit_stream_range():
+    for stream in (0, 2**32, 2**64 - 1, np.uint64(2**64 - 1)):
+        channel_rng(0, stream).standard_normal()
 
 
 def test_channel_rng_takes_the_whole_64_bit_range():

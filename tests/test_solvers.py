@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from relaydmt import (
     fd_dmt,
     ptp_dmt,
 )
+from relaydmt import solvers
 from relaydmt.core import ExponentTriple
 from relaydmt.solvers import (
     LevelTriple,
@@ -483,3 +486,82 @@ def test_dmt_curve_variant_guards_its_domain(variant):
     for grid in ([-0.1, 0.5], [0.5, top + 0.1], [0.5, float("nan")]):
         with pytest.raises(DomainError):
             dmt_curve(c, variant, grid)
+
+
+# ---------------------------------------------------------------------------
+# the vertex engine batched over r
+
+
+_ENGINES = {
+    "hd-dynamic": (solvers._two_var_block, solve_two_var),
+    "hd-static": (solvers._static_block, solve_static),
+}
+
+
+def _batch_of_one(solve, c, grid):
+    """Per-r results as the engine's columns d, a, b, s, evaluations."""
+    results = [solve(c, r) for r in grid]
+    return [
+        [res.d for res in results],
+        [res.argmin.a for res in results],
+        [res.argmin.b for res in results],
+        [res.argmin.s for res in results],
+        [res.evaluations for res in results],
+    ]
+
+
+@pytest.mark.parametrize("variant", _ENGINES)
+def test_batched_engine_equals_per_r_solves_exactly(variant):
+    block, solve = _ENGINES[variant]
+    # 41 r span two r blocks; the last case spans four, the last one partial
+    cases = [(mkn, 41) for mkn in itertools.product((1, 2, 3, 4), repeat=3)]
+    cases.append(((4, 3, 5), 3 * solvers._R_BLOCK + 5))
+    for mkn, count in cases:
+        c = AntennaConfig(*mkn)
+        grid = np.linspace(0.0, c.max_mux, count).tolist()
+        assert len(grid) > solvers._R_BLOCK
+        columns = [col.tolist() for col in solvers._solve_grid(block, c, grid)]
+        assert columns == _batch_of_one(solve, c, grid), mkn
+        assert [p.d for p in dmt_curve(c, variant, grid).points] == columns[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_batched_tie_rule_holds_per_r(k):
+    # on (1, k, 1) between r = 1/(k+1) and 1/2 the minimum is attained at the
+    # mirror pair (0, b*, 1) and (0, 1, b*), b* = r/(1 - r); every r of the
+    # batch must keep the smaller b, as a solve of that r alone does
+    c = AntennaConfig(1, k, 1)
+    grid = np.linspace(1.0 / (k + 1), 0.5, 40)[1:-1].tolist()
+    d, a, b, s, evaluations = solvers._solve_grid(solvers._two_var_block, c, grid)
+    for i, r in enumerate(grid):
+        star = r / (1.0 - r)
+        face = [diversity_objective(c, ExponentTriple((1.0,), (1.0 - x,), (1.0 - y,)))
+                for x, y in ((star, 1.0), (1.0, star))]
+        assert face == pytest.approx([d[i], d[i]], abs=1e-9)  # a real tie
+        assert (a[i], s[i]) == (0.0, 1.0)
+        assert b[i] == pytest.approx(star, abs=1e-12)
+        res = solve_two_var(c, r)
+        assert (res.d, res.argmin, res.evaluations) == (
+            d[i], LevelTriple(a[i], b[i], s[i]), evaluations[i])
+        assert d[i] == pytest.approx(dmt_1k1(k, r), abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dmt_curve_one_point_grid(variant):
+    c = AntennaConfig(*_VARIANT_CONFIGS[variant])
+    r = c.max_mux / 3.0
+    (point,) = dmt_curve(c, variant, [r]).points
+    assert point.r == r and point.d >= 0.0
+    if variant in _ENGINES:
+        assert point.d == _ENGINES[variant][1](c, r).d
+
+
+@pytest.mark.parametrize("variant", _ENGINES)
+def test_batched_engine_refuses_a_bad_r_mid_grid(variant):
+    c = AntennaConfig(1, 2, 1)
+    grid = np.linspace(0.0, 1.0, 2 * solvers._R_BLOCK).tolist()
+    for bad in (1.5, -0.5, float("nan")):
+        with pytest.raises(DomainError):
+            dmt_curve(c, variant, grid[:40] + [bad] + grid[40:])
+    with pytest.raises(DomainError, match=r"r=1\.5 outside \[0, 1\.0\]"):
+        dmt_curve(c, variant, [0.25, 1.5, 0.75])
