@@ -36,10 +36,14 @@ from .core import (
 
 # slack for float dust on a computed vertex before it is tested against the caps
 _ROOT_TOL = 1e-12
+# slack of the prunes ahead of that test; 1000 x _ROOT_TOL keeps them
+# conservative, since line directions and cap normals are small integers
+_CLIP_SLACK = 1e-9
 # listen fraction of the fixed relay schedule
 _LISTEN = 0.5
-# r values one engine pass solves together; caps its lines x r temporaries
-_R_BLOCK = 32
+# candidate cells (r x candidates per r) one engine pass holds: it caps the
+# pass's temporaries; 2**15 measured no faster, with a higher peak RSS
+_PASS_CELLS = 2**14
 
 
 class SolverRefusal(RuntimeError):
@@ -72,7 +76,7 @@ class SolveResult:
 def _profile_rows(levels: np.ndarray, length: int) -> np.ndarray:
     """Row-wise exponent profiles for an array of levels."""
     idx = np.arange(length, dtype=float)
-    return np.clip(1.0 - np.clip(levels[:, None] - idx[None, :], 0.0, None), 0.0, 1.0)
+    return np.maximum(1.0 - np.maximum(levels[:, None] - idx[None, :], 0.0), 0.0)
 
 
 def _objective_rows(config: AntennaConfig, pa, pb, pd) -> np.ndarray:
@@ -83,9 +87,9 @@ def _objective_rows(config: AntennaConfig, pa, pb, pd) -> np.ndarray:
     total += pd @ np.asarray(w_delta)
     total -= 2.0 * config.k * config.u
     for i, j in ab_pairs:
-        total += np.clip(1.0 - pa[:, i] - pb[:, j], 0.0, None)
+        total += np.maximum(1.0 - pa[:, i] - pb[:, j], 0.0)
     for i, l in ad_pairs:
-        total += np.clip(1.0 - pa[:, i] - pd[:, l], 0.0, None)
+        total += np.maximum(1.0 - pa[:, i] - pd[:, l], 0.0)
     return total
 
 
@@ -98,13 +102,8 @@ _KINK_NORMALS = np.array(
 )
 
 
-@lru_cache(maxsize=None)
-def _kink_lines(config: AntennaConfig):
-    """Point and direction of every line where two kink planes cross.
-
-    Depends on the configuration only; the rows are read-only because the
-    cache hands the same arrays to every solve.
-    """
+def _all_kink_lines(config: AntennaConfig):
+    """Point and direction of every line where two kink planes cross."""
     tops = (config.u, config.p, config.q, config.m, config.n)
     family = np.repeat(np.arange(len(tops)), [top + 1 for top in tops])
     level = np.concatenate([np.arange(top + 1.0) for top in tops])
@@ -117,50 +116,78 @@ def _kink_lines(config: AntennaConfig):
         level[i, None] * np.cross(n2, directions)
         + level[j, None] * np.cross(directions, n1)
     ) / (directions * directions).sum(axis=1, keepdims=True)
-    points.setflags(write=False)
-    directions.setflags(write=False)
     return points, directions
 
 
-def _surface_crossings(r: np.ndarray, points: np.ndarray, directions: np.ndarray):
+@lru_cache(maxsize=None)
+def _kink_lines(config: AntennaConfig):
+    """The kink lines x0 + t d that meet the level caps widened by
+    ``_CLIP_SLACK``, in their order: point, direction, the t interval
+    inside, and the r-free parts of the surface quadratic.
+
+    Depends on the configuration only; the arrays are read-only because the
+    cache hands the same ones to every solve.
+    """
+    points, directions = _all_kink_lines(config)
+    # -a, -b, -s <= 0 and the kink forms a, b, s, a + b, a + s <= max_mux, p, q, m, n
+    normals = np.vstack([-np.eye(3), _KINK_NORMALS])
+    caps = np.array([0, 0, 0, config.max_mux, config.p, config.q, config.m, config.n])
+    room = caps + _CLIP_SLACK - (points[:, None] * normals).sum(axis=2)
+    speed = (directions[:, None] * normals).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = room / speed
+    t_lo = np.where(speed < 0, ends, -np.inf).max(axis=1)
+    t_hi = np.where(speed > 0, ends, np.inf).min(axis=1)
+    keep = (t_lo <= t_hi) & ((speed != 0) | (room >= 0)).all(axis=1)
+    (a0, b0, s0), (da, db, ds) = points[keep].T, directions[keep].T
+    r_free = np.array(
+        [-da * (db + ds) - db * ds, db + ds, da * (b0 + s0), b0 * ds, db * s0, b0 + s0, b0 * s0]
+    )
+    lines = points[keep], directions[keep], t_lo[keep], t_hi[keep], r_free
+    for array in lines:
+        array.setflags(write=False)
+    return lines
+
+
+def _surface_crossings(r: np.ndarray, points, directions, t_lo, t_hi, r_free):
     """Where each line x0 + t d meets the rate surface (r - a)(b + s) = b s of each r.
 
     The surface equation is a quadratic in t; lines on which it vanishes
     identically (the a = r axes and the spurious b = s = 0 line) and lines
-    that miss the surface give no point.  Returns the crossings as rows and
-    the index of the r each belongs to, grouped by r.
+    that miss the surface give no point.  Roots outside the line's t
+    interval or with a > r + ``_CLIP_SLACK`` are dropped too: they cannot
+    pass the inside test of :func:`_best_vertex`.  Returns the index of the
+    r each crossing belongs to, grouped by r, and its a, b and s.
     """
-    a0, b0, s0 = points.T
-    da, db, ds = directions.T
+    (a0, b0, s0), (da, db, ds) = points.T, directions.T
+    qa, qb_rest, qb1, qb2, qb3, qc_rest, qc0 = r_free
     rest = r[:, None] - a0
-    qa = -da * (db + ds) - db * ds
-    qb = rest * (db + ds) - da * (b0 + s0) - b0 * ds - db * s0
-    qc = rest * (b0 + s0) - b0 * s0
+    # rest (db + ds) - da (b0 + s0) - b0 ds - db s0 and rest (b0 + s0) - b0 s0;
+    # qb's terms go one by one, as one folded constant would round otherwise
+    qb = rest * qb_rest - qb1 - qb2 - qb3
+    qc = rest * qc_rest - qc0
     with np.errstate(divide="ignore", invalid="ignore"):
         # cancellation-free roots; NaN or inf marks a missing one
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
         quadratic = qa != 0.0
         t1 = np.where(quadratic, q / qa, -qc / qb)
-        t2 = np.where(quadratic, qc / q, np.nan)
-    t = np.concatenate([t1, t2], axis=1)
-    found = np.isfinite(t)
-    group, root = np.nonzero(found)
-    line = root % len(points)
-    return points[line] + t[found][:, None] * directions[line], group
+        t = np.stack([t1, np.where(quadratic, qc / q, np.nan)], axis=1)
+        a = a0 + t * da
+    found = (t >= t_lo) & (t <= t_hi) & (a <= r[:, None, None] + _CLIP_SLACK)
+    group, _, line = np.nonzero(found)
+    t = t[found]
+    return group, a[found], b0[line] + t * db[line], s0[line] + t * ds[line]
 
 
 def _two_var_block(config: AntennaConfig, r: np.ndarray):
     """:func:`_best_vertex` over the crossings of every r, each followed by
     its a = r axis ends (r, 0, s_cap) and (r, b_cap, 0)."""
-    rows, group = _surface_crossings(r, *_kink_lines(config))
-    crossing = rows[:, 1] + rows[:, 2] > _ROOT_TOL
-    ends = np.zeros((2, len(r), 3))
-    ends[..., 0] = r
-    ends[0, :, 2] = np.minimum(config.q, config.n - r)
-    ends[1, :, 1] = np.minimum(config.p, config.m - r)
-    index = np.arange(len(r))
-    a, b, s = np.concatenate([rows[crossing], *ends]).T
-    return _best_vertex(config, r, np.concatenate([group[crossing], index, index]), a, b, s)
+    group, a, b, s = _surface_crossings(r, *_kink_lines(config))
+    crossing = b + s > _ROOT_TOL
+    index, zero = np.arange(len(r)), np.zeros(len(r))
+    b_cap, s_cap = np.minimum(config.p, config.m - r), np.minimum(config.q, config.n - r)
+    columns = zip((group, a, b, s), (index, r, zero, s_cap), (index, r, b_cap, zero))
+    return _best_vertex(config, r, *(np.concatenate([x[crossing], *ends]) for x, *ends in columns))
 
 
 def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
@@ -195,8 +222,8 @@ def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
         & (s <= s_cap + _ROOT_TOL)
     )
     group, a = group[inside], a[inside]
-    b = np.clip(b[inside], 0.0, b_cap[inside])
-    s = np.clip(s[inside], 0.0, s_cap[inside])
+    b = np.minimum(np.maximum(b[inside], 0.0), b_cap[inside])
+    s = np.minimum(np.maximum(s[inside], 0.0), s_cap[inside])
     values = _objective_rows(
         config,
         _profile_rows(a, config.u),
@@ -213,10 +240,12 @@ def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
 
 
 def _solve_grid(block, config: AntennaConfig, r_grid):
-    """Columns d, a, b, s, evaluations of ``block`` over the grid, solved
-    ``_R_BLOCK`` r at a time; every r passes ``_check_r`` first."""
+    """Columns d, a, b, s, evaluations of ``block`` over the grid, solved in
+    passes of as many r as fit ``_PASS_CELLS`` candidate cells; every r
+    passes ``_check_r`` first."""
     r = np.array([_check_r(x, float(config.max_mux)) for x in r_grid], dtype=float)
-    parts = [block(config, r[i:i + _R_BLOCK]) for i in range(0, len(r), _R_BLOCK)]
+    step = max(1, _PASS_CELLS // _CELLS_PER_R[block](config))
+    parts = [block(config, r[i:i + step]) for i in range(0, len(r), step)]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -261,6 +290,14 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
     A batch of one r, like :func:`solve_two_var`.
     """
     return _solve_one(_static_block, config, r, "static-exact")
+
+
+# candidate cells one r adds to a pass of each engine: two roots per kink
+# line that meets the caps, or three kink families on each static plane
+_CELLS_PER_R = {
+    _two_var_block: lambda c: 2 * len(_kink_lines(c)[0]),
+    _static_block: lambda c: 6 * (max(c.m, c.n) + 1),
+}
 
 
 # ---------------------------------------------------------------------------

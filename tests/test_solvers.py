@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -511,18 +512,66 @@ def _batch_of_one(solve, c, grid):
 
 
 @pytest.mark.parametrize("variant", _ENGINES)
-def test_batched_engine_equals_per_r_solves_exactly(variant):
+def test_batched_engine_equals_per_r_solves_exactly(variant, monkeypatch):
     block, solve = _ENGINES[variant]
-    # 41 r span two r blocks; the last case spans four, the last one partial
-    cases = [(mkn, 41) for mkn in itertools.product((1, 2, 3, 4), repeat=3)]
-    cases.append(((4, 3, 5), 3 * solvers._R_BLOCK + 5))
-    for mkn, count in cases:
+    cells = solvers._CELLS_PER_R[block]
+    # every case spans two full passes and a partial one: {1..4}^3 with the
+    # budget shrunk to 16 r a pass (41 r), and (4, 3, 5) at the shipped budget
+    cases = [(mkn, 16) for mkn in itertools.product((1, 2, 3, 4), repeat=3)]
+    cases.append(((4, 3, 5), None))
+    for mkn, per_pass in cases:
         c = AntennaConfig(*mkn)
-        grid = np.linspace(0.0, c.max_mux, count).tolist()
-        assert len(grid) > solvers._R_BLOCK
+        if per_pass is not None:
+            monkeypatch.setattr(solvers, "_PASS_CELLS", per_pass * cells(c))
+        step = solvers._PASS_CELLS // cells(c)
+        grid = np.linspace(0.0, c.max_mux, 2 * step + step // 2 + 1).tolist()
+        assert len(grid) > 2 * step and len(grid) % step, mkn
         columns = [col.tolist() for col in solvers._solve_grid(block, c, grid)]
         assert columns == _batch_of_one(solve, c, grid), mkn
         assert [p.d for p in dmt_curve(c, variant, grid).points] == columns[0]
+        monkeypatch.undo()
+
+
+def _inside_caps(c, r, group, a, b, s):
+    """The inside test of the engine's _best_vertex, restated."""
+    tol = solvers._ROOT_TOL
+    b_cap, s_cap = np.minimum(c.p, c.m - a), np.minimum(c.q, c.n - a)
+    return (
+        (a >= -tol) & (a <= r[group] + tol)
+        & (b >= -tol) & (b <= b_cap + tol)
+        & (s >= -tol) & (s <= s_cap + tol)
+    )
+
+
+@pytest.mark.parametrize(
+    "mkn", [*itertools.product(range(1, 6), repeat=3), (6, 6, 6)], ids=lambda mkn: "%d%d%d" % mkn
+)
+def test_line_and_root_prunes_lose_nothing(mkn, monkeypatch):
+    c = AntennaConfig(*mkn)
+    grid = np.linspace(0.0, c.max_mux, 2001)
+    pruned = solvers._solve_grid(solvers._two_var_block, c, grid.tolist())
+    kept = {tuple(row) for row in np.hstack(solvers._kink_lines(c)[:2])}
+    # a clip slack beyond any level keeps every kink line and every finite root
+    monkeypatch.setattr(solvers, "_CLIP_SLACK", 1e300)
+    monkeypatch.setattr(solvers, "_kink_lines", solvers._kink_lines.__wrapped__)
+    unpruned = solvers._solve_grid(solvers._two_var_block, c, grid.tolist())
+    assert [col.tolist() for col in pruned] == [col.tolist() for col in unpruned]
+    lines = solvers._kink_lines(c)
+    assert len(lines[0]) == len(solvers._all_kink_lines(c)[0])
+    dropped = np.array([tuple(row) not in kept for row in np.hstack(lines[:2])])
+    *columns, r_free = lines
+    crossings = solvers._surface_crossings(grid, *(x[dropped] for x in columns), r_free[:, dropped])
+    assert not _inside_caps(c, grid, *crossings).any()
+
+
+def test_engine_emits_no_warning():
+    solvers._kink_lines.cache_clear()  # the line clip runs under the filter too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mkn in itertools.product((1, 2, 3, 4), repeat=3):
+            c = AntennaConfig(*mkn)
+            for variant in _ENGINES:
+                dmt_curve(c, variant, np.linspace(0.0, c.max_mux, 41).tolist())
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -559,9 +608,10 @@ def test_dmt_curve_one_point_grid(variant):
 @pytest.mark.parametrize("variant", _ENGINES)
 def test_batched_engine_refuses_a_bad_r_mid_grid(variant):
     c = AntennaConfig(1, 2, 1)
-    grid = np.linspace(0.0, 1.0, 2 * solvers._R_BLOCK).tolist()
+    step = solvers._PASS_CELLS // solvers._CELLS_PER_R[_ENGINES[variant][0]](c)
+    grid = np.linspace(0.0, 1.0, 2 * step).tolist()
     for bad in (1.5, -0.5, float("nan")):
         with pytest.raises(DomainError):
-            dmt_curve(c, variant, grid[:40] + [bad] + grid[40:])
+            dmt_curve(c, variant, grid[:step + 8] + [bad] + grid[step + 8:])
     with pytest.raises(DomainError, match=r"r=1\.5 outside \[0, 1\.0\]"):
         dmt_curve(c, variant, [0.25, 1.5, 0.75])
