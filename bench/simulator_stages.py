@@ -6,7 +6,10 @@ log-det and the rate combine, then the whole block as the outage estimator
 runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
 ``outage_probabilities`` call) against 5 single-point calls, and one scalar
-``cutset_terms`` call (a batch of one).
+``cutset_terms`` call (a batch of one).  For the two outage workloads of the
+benchmark it splits a 4-block (262,144-sample), 5-SNR sweep into the serial
+draw of its blocks and the serial scoring of the drawn blocks, beside the
+wall time of the ``outage_probabilities`` call, which overlaps the two.
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
@@ -31,6 +34,9 @@ CONFIGS = ((1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4))
 RHO = 10.0 ** 2.5
 SWEEP = tuple(10.0 ** (db / 10.0) for db in (15, 20, 25, 30, 35))
 SCALAR_CALLS = 200
+# the outage workloads of perfbench: (m, k, n) -> (r, SNR grid in dB)
+WORKLOAD_SWEEPS = {(2, 2, 2): (1.5, (15, 20, 25, 30, 35)), (3, 3, 3): (2.9, (20, 25, 30, 35, 40))}
+SWEEP_BLOCKS = 4
 
 
 def _best(fn, repeats: int) -> float:
@@ -85,6 +91,44 @@ def measure(repeats: int) -> dict:
     return result
 
 
+def measure_sweeps(repeats: int) -> dict:
+    """The workload sweeps of the ``relaydmt`` on ``sys.path``, in
+    milliseconds: the serial draw of the blocks, their serial scoring (the
+    estimator fed blocks drawn beforehand) and the estimator's own wall time."""
+    from relaydmt import AntennaConfig
+    from relaydmt import simulate as sim
+
+    count = SWEEP_BLOCKS * sim.BLOCK_SIZE
+    result = {}
+    for mkn, (r, snr_db) in WORKLOAD_SWEEPS.items():
+        config = AntennaConfig(*mkn)
+        rhos = [10.0 ** (db / 10.0) for db in snr_db]
+
+        def draw(index):
+            return sim._block_channels(config, sim.channel_rng(1, index), sim.BLOCK_SIZE)
+
+        def draws():
+            for index in range(SWEEP_BLOCKS):
+                draw(index)
+
+        drawn = [draw(index) for index in range(SWEEP_BLOCKS)]
+        walk = sim._blocks
+        sim._blocks = lambda config, seed, n_samples: iter(drawn)
+        try:
+            score_s = _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats)
+        finally:
+            sim._blocks = walk
+        del drawn
+        result["%d,%d,%d" % mkn] = {
+            "samples": count,
+            "snr_points": len(rhos),
+            "draw_ms": 1e3 * _best(draws, repeats),
+            "score_ms": 1e3 * score_s,
+            "sweep_ms": 1e3 * _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats),
+        }
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True,
@@ -96,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.measure:
         sys.path.insert(0, os.path.abspath(args.src[0]))
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps({"blocks": measure(args.repeats), "sweeps": measure_sweeps(args.repeats)}))
         return 0
     labels = args.label or args.src
     if len(labels) != len(args.src):
@@ -114,7 +158,10 @@ def main(argv=None) -> int:
             f"min of {args.repeats} wall-clock runs per stage on one block, rho = {RHO:g}; "
             "stages timed in isolation, block_ms is the estimator's whole block; "
             "sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it, "
-            "points_ms the same as 5 single-point calls"
+            "points_ms the same as 5 single-point calls. sweeps: the outage workloads' "
+            f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks one after another, "
+            "score_ms runs outage_probabilities on blocks drawn beforehand, sweep_ms is the "
+            "outage_probabilities call as simulate makes it, drawing and scoring"
         ),
         "host": {
             "cpus": os.cpu_count(),

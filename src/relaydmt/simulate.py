@@ -9,12 +9,15 @@ blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
 estimated alone or within a sweep.  ``_blocks`` owns this layout: the outage
-sweep and the eigenvalue statistics both walk the samples through it.
+sweep and the eigenvalue statistics both walk the samples through it, one
+block drawn ahead on a thread; each block keeps its stream, so no count moves.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,6 +210,11 @@ def _switch_and_rate(l_sd, l_srd, l_s_rd):
     return switch, relay + l_sd
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a stack of square a; 1x1 systems by division (same bytes, no LAPACK call)."""
+    return b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
+
+
 def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
     """Hermitian W1, W2, W3 for a stack of channel triples: W1 = H_SD H_SD',
     W2 = H_SR (I + rho H_SD' H_SD)^-1 H_SR' and
@@ -215,9 +223,9 @@ def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.nd
     hd_t = h_sd.conj().transpose(0, 2, 1)
     w1 = h_sd @ hd_t
     m2 = np.eye(m) + rho * (hd_t @ h_sd)
-    w2 = h_sr @ np.linalg.solve(m2, h_sr.conj().transpose(0, 2, 1))
+    w2 = h_sr @ _solve(m2, h_sr.conj().transpose(0, 2, 1))
     m3 = np.eye(n) + rho * w1
-    w3 = h_rd.conj().transpose(0, 2, 1) @ np.linalg.solve(m3, h_rd)
+    w3 = h_rd.conj().transpose(0, 2, 1) @ _solve(m3, h_rd)
     return tuple(0.5 * (w + w.conj().transpose(0, 2, 1)) for w in (w1, w2, w3))
 
 
@@ -287,10 +295,47 @@ _CHUNK = 4096  # samples per cut-Gram build: the Grams stay small beside the blo
 def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     """The channel triples of the first ``n_samples`` draws, block by block:
     block ``i`` holds ``BLOCK_SIZE`` samples (fewer in a partial last block)
-    from the stream (seed, i)."""
-    for index, start in enumerate(range(0, n_samples, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, n_samples - start)
-        yield _block_channels(config, channel_rng(seed, index), size)
+    from the stream (seed, i).
+
+    Past one block, a thread draws block i+1 while the caller scores block
+    i: the draw's Philox fill releases the GIL.  At most two blocks are
+    alive, the caller's and the one being drawn.  The thread draws block 0
+    too, so that the blocks are allocated on one thread: one drawn on the
+    caller's thread kept a block's worth of freed memory resident there.  A
+    draw's error is raised here, and closing the walk joins the thread.
+    """
+    sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
+
+    def draw(index):
+        return _block_channels(config, channel_rng(seed, index), sizes[index])
+
+    if len(sizes) == 1:
+        yield draw(0)
+        return
+    orders, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def fill():  # draws the blocks it is sent, one at a time, until sent None
+        for index in iter(orders.get, None):
+            try:
+                drawn.put(draw(index))
+            except BaseException as error:  # re-raised on the caller's thread
+                drawn.put(error)
+
+    thread = threading.Thread(target=fill, daemon=True)
+    thread.start()
+    orders.put(0)
+    try:
+        for index in range(len(sizes)):
+            block = None  # while block i is awaited, only the caller holds block i-1
+            block = drawn.get()
+            if isinstance(block, BaseException):
+                raise block
+            if index + 1 < len(sizes):
+                orders.put(index + 1)
+            yield block
+    finally:
+        orders.put(None)
+        thread.join()
 
 
 def outage_probabilities(
@@ -309,9 +354,9 @@ def outage_probabilities(
     Grams, which do not depend on the SNR, are built once per slice of
     ``_CHUNK`` samples and serve the whole grid.  A sample's entries do not
     depend on the other samples, so the slicing changes no count.  The
-    blocks are mapped in order on the caller's thread.  ``workers`` is
-    validated but changes neither the result nor the speed: a thread pool
-    over the blocks used a second core without finishing sooner.
+    next block is drawn on a second thread while this one is scored (see
+    ``_blocks``).  ``workers`` is validated but changes neither the result
+    nor the speed.
     """
     rhos = tuple(rhos)
     if not rhos:

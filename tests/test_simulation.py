@@ -1,9 +1,14 @@
+import functools
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from relaydmt import AntennaConfig, DomainError, ExponentTriple
+from relaydmt import AntennaConfig, DomainError, ExponentTriple, simulate
 from relaydmt.simulate import (
     BLOCK_SIZE,
     ChannelSample,
@@ -21,6 +26,8 @@ from relaydmt.simulate import (
     rate_upper,
     sample_channel,
     _block_channels,
+    _blocks,
+    _composite_grams,
     _cut_log2dets,
     _eigen_exponent_rows,
     _switch_and_rate,
@@ -239,6 +246,24 @@ def test_eigen_exponents_equals_its_block_row(mkn):
         assert (t.alpha, t.beta, t.delta) == tuple(tuple(r[i].tolist()) for r in rows)
 
 
+@pytest.mark.parametrize("mkn", [(1, 2, 1), (1, 3, 2), (2, 1, 2)])
+def test_composite_grams_divide_1x1_systems_as_solve_does(mkn):
+    # W2 at m = 1 and W3 at n = 1 solve 1x1 systems by a division: the same
+    # bytes as the batched LAPACK solve
+    block = _block_channels(AntennaConfig(*mkn), channel_rng(19), 5000)
+    for rho in (1.7, 100.0, 10.0**3.5):
+        h_sd, h_sr, h_rd = block
+        n, m = h_sd.shape[1:]
+        hd_t = h_sd.conj().transpose(0, 2, 1)
+        w1 = h_sd @ hd_t
+        m2 = np.eye(m) + rho * (hd_t @ h_sd)
+        w2 = h_sr @ np.linalg.solve(m2, h_sr.conj().transpose(0, 2, 1))
+        w3 = h_rd.conj().transpose(0, 2, 1) @ np.linalg.solve(np.eye(n) + rho * w1, h_rd)
+        ref = [0.5 * (w + w.conj().transpose(0, 2, 1)) for w in (w1, w2, w3)]
+        got = _composite_grams(rho, *block)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in ref]
+
+
 def test_support_violations_shrink_with_snr():
     from relaydmt import in_support
 
@@ -343,6 +368,153 @@ def test_outage_sweep_equals_pointwise_calls(mkn):
         rates = [_switch_and_rate(*_cut_log2dets(rho, *block))[1] for block in blocks]
         assert e.events == sum(int((rate < r * math.log2(rho)).sum()) for rate in rates)
         assert isinstance(e.events, int) and e.events > 0 and e.events / n == e.p_out
+
+
+# ---------------------------------------------------------------------------
+# the sample walk: one thread draws the next block while the caller scores
+
+
+def _bounded(walk, seconds=60.0):
+    """``walk()`` on a daemon thread: a deadlocked walk fails the test
+    instead of hanging it.  Returns what ``walk`` returns."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((walk(), None))
+        except BaseException as error:  # re-raised on the test's thread
+            outcome.append((None, error))
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"the walk did not end within {seconds} s"
+    value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value
+
+
+def test_blocks_prefetch_yields_the_serial_draws():
+    c = AntennaConfig(2, 1, 3)
+    sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
+    got = _bounded(lambda: list(_blocks(c, 23, sum(sizes))))
+    assert len(got) == len(sizes)
+    for i, (size, block) in enumerate(zip(sizes, got)):
+        serial = _block_channels(c, channel_rng(23, i), size)
+        assert [h.shape for h in block] == [h.shape for h in serial]
+        assert [h.strides for h in block] == [h.strides for h in serial]
+        assert [h.tobytes() for h in block] == [h.tobytes() for h in serial]
+
+
+def test_blocks_concurrent_walks_under_fast_switching():
+    # four walks at once on two cores, with thread switches every 10 us:
+    # each still yields its own streams, in order
+    c = AntennaConfig(1, 1, 1)
+    n = 2 * BLOCK_SIZE + 1234
+    results = {}
+
+    def walk(seed):
+        results[seed] = [h.tobytes() for block in _blocks(c, seed, n) for h in block]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        walkers = [threading.Thread(target=walk, args=(seed,), daemon=True) for seed in range(4)]
+        for walker in walkers:
+            walker.start()
+        for walker in walkers:
+            walker.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(walker.is_alive() for walker in walkers)
+    for seed in range(4):
+        sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
+        serial = [_block_channels(c, channel_rng(seed, i), size) for i, size in enumerate(sizes)]
+        assert results[seed] == [h.tobytes() for block in serial for h in block]
+
+
+def test_blocks_leaves_no_thread_behind():
+    c = AntennaConfig(1, 1, 1)
+    n = 2 * BLOCK_SIZE + 1
+
+    def full(baseline):
+        threads = [threading.active_count() for _ in _blocks(c, 3, n)]
+        assert threads[0] == baseline + 1  # the prefetch thread runs while block 0 is held
+
+    def next_and_drop(baseline):
+        next(_blocks(c, 3, n))
+
+    def broken_off(baseline):
+        for _ in _blocks(c, 3, n):
+            break
+
+    def consumer_raises(baseline):
+        with pytest.raises(KeyError):
+            for _ in _blocks(c, 3, n):
+                raise KeyError("scoring failed")
+
+    def single_block(baseline):
+        for _ in _blocks(c, 3, BLOCK_SIZE):
+            assert threading.active_count() == baseline
+
+    def extra_threads_after(walk):
+        baseline = threading.active_count()
+        walk(baseline)
+        return threading.active_count() - baseline
+
+    for walk in (full, next_and_drop, broken_off, consumer_raises, single_block):
+        assert _bounded(functools.partial(extra_threads_after, walk)) == 0, walk.__name__
+
+
+class _Block:
+    """A stand-in block that a weak reference can follow."""
+
+
+def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
+    alive = weakref.WeakSet()
+    held_at_draw = []
+    drawn_on = set()
+
+    def fake_draw(config, rng, count):
+        held_at_draw.append(len(alive))  # blocks alive as a new one is drawn
+        drawn_on.add(threading.get_ident())
+        block = _Block()
+        alive.add(block)
+        return block
+
+    def walk():
+        for _ in _blocks(AntennaConfig(1, 1, 1), 5, 6 * BLOCK_SIZE):
+            time.sleep(0.01)  # the scoring, with the GIL released
+        return threading.get_ident()
+
+    monkeypatch.setattr(simulate, "_block_channels", fake_draw)
+    caller = _bounded(walk)
+    assert len(held_at_draw) == 6 and max(held_at_draw) <= 1
+    # every block, the first included, is allocated on the one prefetch thread
+    assert len(drawn_on) == 1 and caller not in drawn_on
+
+
+def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch):
+    error = OSError("the draw of block 1 failed")
+    drawn = []
+
+    def failing_draw(config, rng, count):
+        drawn.append(count)
+        if len(drawn) == 2:  # block 1
+            raise error
+        return _block_channels(config, rng, count)
+
+    def walk():
+        baseline = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            for _ in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
+                pass
+        return raised.value, threading.active_count() - baseline
+
+    monkeypatch.setattr(simulate, "_block_channels", failing_draw)
+    raised, extra_threads = _bounded(walk)
+    assert raised is error and extra_threads == 0 and len(drawn) == 2
 
 
 # ---------------------------------------------------------------------------
