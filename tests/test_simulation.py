@@ -495,6 +495,27 @@ def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
     assert len(drawn_on) == 1 and caller not in drawn_on
 
 
+def test_blocks_drops_its_reference_before_it_waits(monkeypatch):
+    alive = weakref.WeakSet()
+    held_after_draw = []
+
+    def slow_draw(config, rng, count):
+        time.sleep(0.05)  # the caller asks for this block while it is drawn
+        held_after_draw.append(len(alive))
+        block = _Block()
+        alive.add(block)
+        return block
+
+    def walk():
+        blocks = _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE)
+        next(blocks)  # block 0, dropped at once by the caller
+        next(blocks)
+
+    monkeypatch.setattr(simulate, "_block_channels", slow_draw)
+    _bounded(walk)
+    assert held_after_draw[:2] == [0, 0]
+
+
 def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch):
     error = OSError("the draw of block 1 failed")
     drawn = []
