@@ -10,6 +10,10 @@ runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
 benchmark it splits a 4-block (262,144-sample), 5-SNR sweep into the serial
 draw of its blocks and the serial scoring of the drawn blocks, beside the
 wall time of the ``outage_probabilities`` call, which overlaps the two.
+Where the tree scores in two passes, it also times each pass alone: pass 1
+builds the direct cut of every sample, pass 2 the relay cuts of the samples
+whose direct link falls short of the threshold (their share is reported per
+SNR).
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -118,6 +123,7 @@ def measure_sweeps(repeats: int) -> dict:
             score_s = _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats)
         finally:
             sim._blocks = walk
+        passes = _measure_passes(sim, drawn, rhos, r, repeats) if hasattr(sim, "_direct_pass") else {}
         del drawn
         result["%d,%d,%d" % mkn] = {
             "samples": count,
@@ -125,8 +131,29 @@ def measure_sweeps(repeats: int) -> dict:
             "draw_ms": 1e3 * _best(draws, repeats),
             "score_ms": 1e3 * score_s,
             "sweep_ms": 1e3 * _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats),
+            **passes,
         }
     return result
+
+
+def _measure_passes(sim, drawn, rhos, r, repeats: int) -> dict:
+    """The two scoring passes of the outage sweep over blocks drawn
+    beforehand, each timed alone: pass 1 (the direct cut at every SNR) and
+    pass 2 (the relay cuts of the samples pass 1 leaves undecided), with the
+    undecided share of the samples at each SNR and over the whole grid."""
+    thresholds = np.array([r * math.log2(rho) for rho in rhos])
+    links = [[h.transpose(1, 2, 0) for h in block] for block in drawn]
+    decided = [sim._direct_pass(block, rhos, thresholds) for block in links]
+    count = sum(len(block[0]) for block in drawn)
+    short = sum((l_sd < thresholds[:, None]).sum(axis=1) for _, l_sd in decided)
+    return {
+        "pass1_ms": 1e3 * _best(lambda: [sim._direct_pass(b, rhos, thresholds) for b in links], repeats),
+        "pass2_ms": 1e3 * _best(
+            lambda: [sim._relay_pass(b, *d, rhos, thresholds) for b, d in zip(links, decided)], repeats
+        ),
+        "undecided_per_snr": (short / count).tolist(),
+        "undecided_any_snr": sum(len(undecided) for undecided, _ in decided) / count,
+    }
 
 
 def main(argv=None) -> int:
@@ -161,7 +188,10 @@ def main(argv=None) -> int:
             "points_ms the same as 5 single-point calls. sweeps: the outage workloads' "
             f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks one after another, "
             "score_ms runs outage_probabilities on blocks drawn beforehand, sweep_ms is the "
-            "outage_probabilities call as simulate makes it, drawing and scoring"
+            "outage_probabilities call as simulate makes it, drawing and scoring; where the "
+            "tree scores in two passes, pass1_ms and pass2_ms time each pass alone on the "
+            "drawn blocks, and undecided_per_snr / undecided_any_snr give the share of "
+            "samples whose direct link falls short of r log2(rho) at each SNR / at any"
         ),
         "host": {
             "cpus": os.cpu_count(),

@@ -29,8 +29,13 @@ class ConfigurationError(ValueError):
     """A request is inconsistent with the antenna configuration."""
 
 
+def _is_integer(value) -> bool:
+    """Whether an argument is an integer: any ``numbers.Integral`` but a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(value, name: str) -> int:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

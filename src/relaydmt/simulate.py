@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AntennaConfig, DomainError, ExponentTriple
+from .core import AntennaConfig, DomainError, ExponentTriple, _is_integer
 
 BLOCK_SIZE = 65536
 
@@ -101,8 +101,7 @@ class IndependenceReport:
 def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams never overlap."""
     for name, value in (("seed", seed), ("stream", stream)):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integer or not 0 <= value < 2**64:
+        if not _is_integer(value) or not 0 <= value < 2**64:
             raise DomainError(f"{name} must fit in 64 bits, got {value}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -181,12 +180,17 @@ def _log2_det_eye_plus(rho: float, gram: dict) -> np.ndarray:
     return total / _LN2
 
 
+def _relay_grams(sd, sr, rd):
+    """The SNR-free Grams of the joint transmission cut [H_SD H_RD] and the
+    listening cut [H_SR; H_SD] from links paired as ``_side_gram`` takes them."""
+    return _side_gram([[sd, rd]]), _side_gram([[sr], [sd]])
+
+
 def _cut_grams(h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
     """The SNR-free Grams of the three cuts for a stack of channel triples:
-    the direct link, the joint transmission cut [H_SD H_RD] and the
-    listening cut [H_SR; H_SD], each on its smaller side."""
+    the direct link, then the two relay cuts, each on its smaller side."""
     sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd)))
-    return _side_gram([[sd]]), _side_gram([[sd, rd]]), _side_gram([[sr], [sd]])
+    return (_side_gram([[sd]]), *_relay_grams(sd, sr, rd))
 
 
 def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
@@ -198,7 +202,10 @@ def _switch_and_rate(l_sd, l_srd, l_s_rd):
     """Optimal listen fraction and cut-set rate ceiling, elementwise.
 
     The relay gains over the direct link split the time as a : b; when both
-    vanish any split is equally good and the fraction is 1/2.
+    vanish any split is equally good and the fraction is 1/2.  The rate is
+    ``l_sd`` plus a relay term that is never negative, so ``rate >= l_sd``
+    holds bit for bit wherever the rate is not NaN; the outage sweep relies
+    on it to skip the relay cuts of a sample whose direct link suffices.
     """
     a = np.maximum(l_srd - l_sd, 0.0)
     b = np.maximum(l_s_rd - l_sd, 0.0)
@@ -292,6 +299,13 @@ def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
 _CHUNK = 4096  # samples per cut-Gram build: the Grams stay small beside the block
 
 
+def _check_integers(**counts):
+    """Refuse a sample, bin or worker count that is not an integer (or is a ``bool``)."""
+    for name, value in counts.items():
+        if not _is_integer(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     """The channel triples of the first ``n_samples`` draws, block by block:
     block ``i`` holds ``BLOCK_SIZE`` samples (fewer in a partial last block)
@@ -338,6 +352,35 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
         thread.join()
 
 
+def _direct_pass(links, rhos, thresholds):
+    """Pass 1 of the outage sweep over a block's samples-last links: the
+    indices of the samples whose direct link falls short of the threshold at
+    some SNR, and their ``l_sd`` rows (one per SNR)."""
+    undecided, l_sd = [], []
+    for start in range(0, links[0].shape[2], _CHUNK):
+        sd = links[0][..., start : start + _CHUNK]
+        gram = _side_gram([[(sd, sd.conj())]])
+        rows = np.stack([_log2_det_eye_plus(rho, gram) for rho in rhos])
+        short = np.flatnonzero((rows < thresholds[:, None]).any(axis=0))
+        undecided.append(short + start)
+        l_sd.append(rows[:, short])
+    return np.concatenate(undecided), np.concatenate(l_sd, axis=1)
+
+
+def _relay_pass(links, undecided, l_sd, rhos, thresholds) -> np.ndarray:
+    """Pass 2 of the outage sweep: the outage count at each SNR among the
+    samples pass 1 left undecided, gathered ``_CHUNK`` at a time."""
+    counts = np.zeros(len(rhos), dtype=np.int64)
+    for start in range(0, len(undecided), _CHUNK):
+        picked = undecided[start : start + _CHUNK]
+        grams = _relay_grams(*((x, x.conj()) for x in (np.take(h, picked, axis=2) for h in links)))
+        for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
+            relay = (_log2_det_eye_plus(rho, g) for g in grams)
+            _, rate = _switch_and_rate(l_sd[i, start : start + _CHUNK], *relay)
+            counts[i] += np.count_nonzero(rate < threshold)
+    return counts
+
+
 def outage_probabilities(
     config: AntennaConfig,
     rhos: Sequence[float],
@@ -350,13 +393,14 @@ def outage_probabilities(
     rate ceiling falls below r log2(rho) over ``n_samples`` Rayleigh draws;
     one ``OutageEstimate`` per SNR, in order.
 
-    Every SNR sees the same samples: each block is drawn once and its cut
-    Grams, which do not depend on the SNR, are built once per slice of
-    ``_CHUNK`` samples and serve the whole grid.  A sample's entries do not
-    depend on the other samples, so the slicing changes no count.  The
-    next block is drawn on a second thread while this one is scored (see
-    ``_blocks``).  ``workers`` is validated but changes neither the result
-    nor the speed.
+    Every SNR sees the same samples: each block is drawn once and scored in
+    slices of ``_CHUNK`` samples whose SNR-free Grams serve the whole grid.
+    Pass 1 builds every sample's direct Gram; a sample whose ``l_sd`` clears
+    the threshold at every SNR is not in outage (``rate >= l_sd``), so pass
+    2 builds the relay-cut Grams of the others only.  A sample's entries do
+    not depend on the rest of its stack, so no count moves.  The next block
+    is drawn on a second thread while this one is scored (see ``_blocks``).
+    ``workers`` is validated but changes neither the result nor the speed.
     """
     rhos = tuple(rhos)
     if not rhos:
@@ -367,18 +411,16 @@ def outage_probabilities(
     # outage is degenerate at r <= 0 and no longer decays with SNR from max_mux on
     if not 0.0 < r < config.max_mux:
         raise DomainError(f"r={r} must lie strictly between 0 and {config.max_mux}")
+    _check_integers(n_samples=n_samples, workers=workers)
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers}")
-    thresholds = [r * math.log2(rho) for rho in rhos]
-    counts = [0] * len(rhos)
+    thresholds = np.array([r * math.log2(rho) for rho in rhos])
+    counts = np.zeros(len(rhos), dtype=np.int64)
     for block in _blocks(config, seed, n_samples):
-        for start in range(0, len(block[0]), _CHUNK):
-            grams = _cut_grams(*(h[start : start + _CHUNK] for h in block))
-            for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
-                _, rate = _switch_and_rate(*(_log2_det_eye_plus(rho, g) for g in grams))
-                counts[i] += int((rate < threshold).sum())
+        links = [h.transpose(1, 2, 0) for h in block]  # the samples-last storage
+        counts += _relay_pass(links, *_direct_pass(links, rhos, thresholds), rhos, thresholds)
     return [
         OutageEstimate(
             rho=rho,
@@ -387,7 +429,7 @@ def outage_probabilities(
             n_samples=n_samples,
             ci_half_width=_wilson_half_width(count / n_samples, n_samples),
         )
-        for rho, count in zip(rhos, counts)
+        for rho, count in zip(rhos, counts.tolist())
     ]
 
 
@@ -470,6 +512,7 @@ def conditional_independence_check(
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"rho must be positive and finite, got {rho}")
+    _check_integers(n_samples=n_samples, n_bins=n_bins)
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
     if n_bins < 1:

@@ -11,11 +11,13 @@ from relaydmt import (
     ConfigurationError,
     DomainError,
     channel_rng,
+    conditional_independence_check,
     dmt_1k1,
     dmt_ddf_1k1,
     dmt_n1n,
     dmt_static_1k1,
     dmt_symmetric_upper,
+    outage_probabilities,
     outage_probability,
     ptp_dmt,
     solve_static_n1n,
@@ -82,3 +84,34 @@ def test_outage_probability_refuses_an_aliased_seed():
     # a masked seed 2**64 used to repeat seed 0's outage events silently
     with pytest.raises(DomainError, match="seed must fit in 64 bits"):
         outage_probability(AntennaConfig(1, 1, 1), 100.0, 0.5, 20_000, seed=2**64)
+
+
+ONE = AntennaConfig(1, 1, 1)
+# argument name -> call with that count (every other argument valid)
+SIMULATION_COUNTS = {
+    "outage n_samples": ("n_samples", lambda x: outage_probability(ONE, 100.0, 0.5, x, 1)),
+    "outage workers": ("workers", lambda x: outage_probability(ONE, 100.0, 0.5, 2000, 1, workers=x)),
+    "sweep n_samples": ("n_samples", lambda x: outage_probabilities(ONE, [10.0], 0.5, x, 1)),
+    "independence n_samples": (
+        "n_samples", lambda x: conditional_independence_check(ONE, 100.0, x, 5, 1)
+    ),
+    "independence n_bins": ("n_bins", lambda x: conditional_independence_check(ONE, 100.0, 5000, x, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", [5000.5, 5000.0, 2.5, True, "5000"], ids=repr)
+@pytest.mark.parametrize("entry", SIMULATION_COUNTS)
+def test_bad_simulation_count_is_a_domain_error_naming_it(entry, bad):
+    # 5000.5 used to raise a bare TypeError, n_bins=2.5 gave a report of 2
+    # bins and workers=1.5 or True was taken silently
+    name, call = SIMULATION_COUNTS[entry]
+    message = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", SIMULATION_COUNTS)
+def test_numpy_integer_simulation_count_is_accepted(entry):
+    _, call = SIMULATION_COUNTS[entry]
+    value = 5 if entry == "independence n_bins" else 2 if entry == "outage workers" else 5000
+    assert call(np.int64(value)) == call(value)

@@ -29,6 +29,7 @@ from relaydmt.simulate import (
     _blocks,
     _composite_grams,
     _cut_log2dets,
+    _direct_pass,
     _eigen_exponent_rows,
     _switch_and_rate,
 )
@@ -197,6 +198,29 @@ def test_switch_time_and_rate_bounds_on_samples():
         t = cutset_terms(sample_channel(c, rng), 30.0)
         assert 0.0 <= optimal_switch_time(t) <= 1.0
         assert rate_upper(t) >= t.log_l_sd - 1e-12
+
+
+def test_rate_never_falls_below_the_direct_link():
+    # the outage sweep skips the relay cuts of a sample whose l_sd clears the
+    # threshold; that is exact only if rate >= l_sd holds bit for bit
+    edges = np.array(
+        [-1.7e308, -1e300, -1.0, -1e-12, -1e-300, -0.0, 0.0, 1e-300, 1e-13, 5e-13,
+         1e-12, 2e-12, 1.0, 3.7, 1e300, 1.7e308]
+    )
+    triples = [g.ravel() for g in np.meshgrid(edges, edges, edges)]
+    rng = np.random.default_rng(5)
+    l_sd = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-300, 300, 200_000)
+    near = rng.uniform(-1e-12, 1e-12, (2, l_sd.size))  # gains about the 1e-12 cutoff
+    with np.errstate(all="ignore"):  # sums past 1.7e308 overflow to inf
+        gains = [rng.choice(edges, l_sd.size) * rng.uniform(0, 2, l_sd.size) for _ in range(2)]
+        for a, b, c in (
+            triples,
+            (l_sd, l_sd + gains[0], l_sd + gains[1]),
+            (l_sd, l_sd + near[0], l_sd + near[1]),
+            (l_sd, gains[0], gains[1]),
+        ):
+            _, rate = _switch_and_rate(a, b, c)
+            assert np.all((rate >= a) | np.isnan(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +392,69 @@ def test_outage_sweep_equals_pointwise_calls(mkn):
         rates = [_switch_and_rate(*_cut_log2dets(rho, *block))[1] for block in blocks]
         assert e.events == sum(int((rate < r * math.log2(rho)).sum()) for rate in rates)
         assert isinstance(e.events, int) and e.events > 0 and e.events / n == e.p_out
+
+
+def _unpruned_counts(c, rhos, r, n, seed):
+    """Outage counts from every sample's three cuts, on whole blocks."""
+    counts = [0] * len(rhos)
+    for block in simulate._blocks(c, seed, n):
+        for i, rho in enumerate(rhos):
+            _, rate = _switch_and_rate(*_cut_log2dets(rho, *block))
+            counts[i] += int((rate < r * math.log2(rho)).sum())
+    return counts
+
+
+def _undecided_share(c, rhos, r, n, seed):
+    """Share of the samples whose direct link falls short at some SNR."""
+    thresholds = np.array([r * math.log2(rho) for rho in rhos])
+    undecided = [
+        _direct_pass([h.transpose(1, 2, 0) for h in block], rhos, thresholds)[0]
+        for block in simulate._blocks(c, seed, n)
+    ]
+    return sum(map(len, undecided)) / n
+
+
+# (m, k, n), r, SNR grid in dB, bounds on the share pass 1 leaves undecided
+PRUNE_CASES = {
+    "outage-222": ((2, 2, 2), 1.5, (15, 20, 25, 30, 35), (0.05, 0.15)),
+    "outage-333": ((3, 3, 3), 2.9, (20, 25, 30, 35, 40), (0.1, 0.3)),
+    # the direct Gram has side 2, the joint cut side 3, the listening cut side 2
+    "213": ((2, 1, 3), 1.8, (10, 20, 30), (0.005, 0.05)),
+    "312": ((3, 1, 2), 1.8, (10, 20, 30), (0.005, 0.05)),
+    "direct-clears-all": ((2, 2, 2), 0.2, (40,), (0.0, 0.0)),
+    "direct-clears-few": ((1, 1, 1), 0.99, (10,), (0.5, 0.7)),
+}
+
+
+@pytest.mark.parametrize("case", PRUNE_CASES)
+def test_pruned_counts_equal_the_unpruned_recount(case):
+    # a partial last block; pass 2 empty, almost whole, and in between
+    mkn, r, snr_db, (low, high) = PRUNE_CASES[case]
+    c = AntennaConfig(*mkn)
+    rhos = [10.0 ** (db / 10.0) for db in snr_db]
+    n = BLOCK_SIZE + 1234
+    events = [e.events for e in outage_probabilities(c, rhos, r, n, seed=13)]
+    assert events == _unpruned_counts(c, rhos, r, n, seed=13)
+    assert low <= _undecided_share(c, rhos, r, n, seed=13) <= high
+
+
+def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeypatch):
+    # a direct link scaled down 100-fold falls short on almost every sample,
+    # so pass 2 gathers nearly the whole block
+    c, r, seed = AntennaConfig(2, 2, 2), 0.8, 13
+    rhos = [10.0 ** (db / 10.0) for db in (15, 25, 35)]
+    n = BLOCK_SIZE + 1234
+    walk = _blocks
+
+    def faded(config, seed, n_samples):
+        for h_sd, h_sr, h_rd in walk(config, seed, n_samples):
+            yield h_sd * 0.01, h_sr, h_rd
+
+    monkeypatch.setattr(simulate, "_blocks", faded)
+    events = [e.events for e in outage_probabilities(c, rhos, r, n, seed)]
+    assert events == _unpruned_counts(c, rhos, r, n, seed)
+    assert _undecided_share(c, rhos, r, n, seed) > 0.99
+    assert 0 < min(events) and max(events) < n
 
 
 # ---------------------------------------------------------------------------
