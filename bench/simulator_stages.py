@@ -10,10 +10,9 @@ runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
 benchmark it splits a 4-block (262,144-sample), 5-SNR sweep into the serial
 draw of its blocks and the serial scoring of the drawn blocks, beside the
 wall time of the ``outage_probabilities`` call, which overlaps the two.
-Where the tree scores in two passes, it also times each pass alone: pass 1
-builds the direct cut of every sample, pass 2 the relay cuts of the samples
-whose direct link falls short of the threshold (their share is reported per
-SNR).
+It also times each scoring pass alone: pass 1 builds the direct cut of every
+sample, pass 2 the relay cuts of the samples whose direct link falls short of
+the threshold (their share is reported per SNR).
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
@@ -123,7 +122,7 @@ def measure_sweeps(repeats: int) -> dict:
             score_s = _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats)
         finally:
             sim._blocks = walk
-        passes = _measure_passes(sim, drawn, rhos, r, repeats) if hasattr(sim, "_direct_pass") else {}
+        passes = _measure_passes(sim, drawn, rhos, r, repeats)
         del drawn
         result["%d,%d,%d" % mkn] = {
             "samples": count,
@@ -188,9 +187,8 @@ def main(argv=None) -> int:
             "points_ms the same as 5 single-point calls. sweeps: the outage workloads' "
             f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks one after another, "
             "score_ms runs outage_probabilities on blocks drawn beforehand, sweep_ms is the "
-            "outage_probabilities call as simulate makes it, drawing and scoring; where the "
-            "tree scores in two passes, pass1_ms and pass2_ms time each pass alone on the "
-            "drawn blocks, and undecided_per_snr / undecided_any_snr give the share of "
+            "outage_probabilities call as simulate makes it, drawing and scoring; "
+            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, and undecided_per_snr / undecided_any_snr give the share of "
             "samples whose direct link falls short of r log2(rho) at each SNR / at any"
         ),
         "host": {

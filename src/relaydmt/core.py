@@ -294,8 +294,8 @@ def exponent_profile(level: float, length: int) -> tuple:
     fractional remainder and the rest stay at 1, so that the deficits
     1 - v[i] sum exactly to ``level``.
     """
-    if length < 1:
-        raise DomainError(f"profile length must be positive, got {length}")
+    if not _is_integer(length) or length < 1:
+        raise DomainError(f"profile length must be a positive integer, got {length!r}")
     if not -_TOL <= level <= length + _TOL:
         raise DomainError(f"level {level} outside [0, {length}]")
     return tuple(_pos(1.0 - _pos(level - i)) for i in range(length))

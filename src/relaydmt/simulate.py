@@ -16,8 +16,7 @@ block drawn ahead on a thread; each block keeps its stream, so no count moves.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,22 +140,21 @@ def _side_gram(blocks) -> dict:
     its upper triangle as a map from (i, j), i <= j, to a stack of entries.
 
     ``blocks`` lists the block rows; each block is one link as a samples-last
-    (rows, cols, count) array paired with its conjugate.  An entry is a sum
-    of per-link inner products, each a run of elementwise multiply-adds, so
-    the cut matrix is never assembled and a sample's entries do not depend
-    on the other samples of its stack.
+    (rows, cols, count) array.  An entry is a sum of per-link inner products,
+    each a run of elementwise multiply-adds, so the cut matrix is never
+    assembled and a sample's entries do not depend on the other samples of
+    its stack.
     """
-    rows = [[(x[i], xc[i]) for x, xc in row] for row in blocks for i in range(len(row[0][0]))]
+    rows = [[x[i] for x in row] for row in blocks for i in range(len(row[0]))]
     cols = [
-        [(row[b][0][:, j], row[b][1][:, j]) for row in blocks]
-        for b, (x, _) in enumerate(blocks[0])
-        for j in range(x.shape[1])
+        [row[b][:, j] for row in blocks] for b, x in enumerate(blocks[0]) for j in range(x.shape[1])
     ]
     vectors = min(rows, cols, key=len)
+    conjugates = [[t.conj() for t in v] for v in vectors]
     return {
-        (a, b): sum(s[l] * tc[l] for (s, _), (_, tc) in zip(u, v) for l in range(len(s)))
+        (a, b): sum(s[l] * t[l] for s, t in zip(u, v) for l in range(len(s)))
         for a, u in enumerate(vectors)
-        for b, v in enumerate(vectors[a:], a)
+        for b, v in enumerate(conjugates[a:], a)
     }
 
 
@@ -182,14 +180,14 @@ def _log2_det_eye_plus(rho: float, gram: dict) -> np.ndarray:
 
 def _relay_grams(sd, sr, rd):
     """The SNR-free Grams of the joint transmission cut [H_SD H_RD] and the
-    listening cut [H_SR; H_SD] from links paired as ``_side_gram`` takes them."""
+    listening cut [H_SR; H_SD] from samples-last links."""
     return _side_gram([[sd, rd]]), _side_gram([[sr], [sd]])
 
 
 def _cut_grams(h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
     """The SNR-free Grams of the three cuts for a stack of channel triples:
     the direct link, then the two relay cuts, each on its smaller side."""
-    sd, sr, rd = ((x, x.conj()) for x in (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd)))
+    sd, sr, rd = (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd))
     return (_side_gram([[sd]]), *_relay_grams(sd, sr, rd))
 
 
@@ -299,11 +297,13 @@ def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
 _CHUNK = 4096  # samples per cut-Gram build: the Grams stay small beside the block
 
 
-def _check_integers(**counts):
-    """Refuse a sample, bin or worker count that is not an integer (or is a ``bool``)."""
+def _check_integers(**counts) -> tuple:
+    """The sample, bin or worker counts as ``int``, in order; refuses one that
+    is not an integer (or is a ``bool``)."""
     for name, value in counts.items():
         if not _is_integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+    return tuple(map(int, counts.values()))
 
 
 def _blocks(config: AntennaConfig, seed: int, n_samples: int):
@@ -311,12 +311,10 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     block ``i`` holds ``BLOCK_SIZE`` samples (fewer in a partial last block)
     from the stream (seed, i).
 
-    Past one block, a thread draws block i+1 while the caller scores block
-    i: the draw's Philox fill releases the GIL.  At most two blocks are
-    alive, the caller's and the one being drawn.  The thread draws block 0
-    too, so that the blocks are allocated on one thread: one drawn on the
-    caller's thread kept a block's worth of freed memory resident there.  A
-    draw's error is raised here, and closing the walk joins the thread.
+    Past one block, a worker draws block i+1 while the caller scores block i
+    (the Philox fill releases the GIL), so at most two blocks are alive.  The
+    worker draws block 0 too: a block drawn on the caller's thread kept a
+    block's worth of freed memory resident there.
     """
     sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
 
@@ -326,30 +324,14 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     if len(sizes) == 1:
         yield draw(0)
         return
-    orders, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def fill():  # draws the blocks it is sent, one at a time, until sent None
-        for index in iter(orders.get, None):
-            try:
-                drawn.put(draw(index))
-            except BaseException as error:  # re-raised on the caller's thread
-                drawn.put(error)
-
-    thread = threading.Thread(target=fill, daemon=True)
-    thread.start()
-    orders.put(0)
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw, 0)
         for index in range(len(sizes)):
             block = None  # while block i is awaited, only the caller holds block i-1
-            block = drawn.get()
-            if isinstance(block, BaseException):
-                raise block
+            block = ahead.result()
             if index + 1 < len(sizes):
-                orders.put(index + 1)
+                ahead = pool.submit(draw, index + 1)
             yield block
-    finally:
-        orders.put(None)
-        thread.join()
 
 
 def _direct_pass(links, rhos, thresholds):
@@ -358,8 +340,7 @@ def _direct_pass(links, rhos, thresholds):
     some SNR, and their ``l_sd`` rows (one per SNR)."""
     undecided, l_sd = [], []
     for start in range(0, links[0].shape[2], _CHUNK):
-        sd = links[0][..., start : start + _CHUNK]
-        gram = _side_gram([[(sd, sd.conj())]])
+        gram = _side_gram([[links[0][..., start : start + _CHUNK]]])
         rows = np.stack([_log2_det_eye_plus(rho, gram) for rho in rhos])
         short = np.flatnonzero((rows < thresholds[:, None]).any(axis=0))
         undecided.append(short + start)
@@ -373,7 +354,7 @@ def _relay_pass(links, undecided, l_sd, rhos, thresholds) -> np.ndarray:
     counts = np.zeros(len(rhos), dtype=np.int64)
     for start in range(0, len(undecided), _CHUNK):
         picked = undecided[start : start + _CHUNK]
-        grams = _relay_grams(*((x, x.conj()) for x in (np.take(h, picked, axis=2) for h in links)))
+        grams = _relay_grams(*(np.take(h, picked, axis=2) for h in links))
         for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
             relay = (_log2_det_eye_plus(rho, g) for g in grams)
             _, rate = _switch_and_rate(l_sd[i, start : start + _CHUNK], *relay)
@@ -411,7 +392,7 @@ def outage_probabilities(
     # outage is degenerate at r <= 0 and no longer decays with SNR from max_mux on
     if not 0.0 < r < config.max_mux:
         raise DomainError(f"r={r} must lie strictly between 0 and {config.max_mux}")
-    _check_integers(n_samples=n_samples, workers=workers)
+    n_samples, workers = _check_integers(n_samples=n_samples, workers=workers)
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
     if workers < 1:
@@ -512,7 +493,7 @@ def conditional_independence_check(
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"rho must be positive and finite, got {rho}")
-    _check_integers(n_samples=n_samples, n_bins=n_bins)
+    n_samples, n_bins = _check_integers(n_samples=n_samples, n_bins=n_bins)
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")
     if n_bins < 1:

@@ -1,6 +1,8 @@
 """One owner per input rule: every antenna count goes through AntennaConfig's
 check, and channel_rng owns the seed and stream range."""
 
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -17,6 +19,7 @@ from relaydmt import (
     dmt_n1n,
     dmt_static_1k1,
     dmt_symmetric_upper,
+    exponent_profile,
     outage_probabilities,
     outage_probability,
     ptp_dmt,
@@ -114,4 +117,22 @@ def test_bad_simulation_count_is_a_domain_error_naming_it(entry, bad):
 def test_numpy_integer_simulation_count_is_accepted(entry):
     _, call = SIMULATION_COUNTS[entry]
     value = 5 if entry == "independence n_bins" else 2 if entry == "outage workers" else 5000
-    assert call(np.int64(value)) == call(value)
+    result = call(np.int64(value))
+    assert result == call(value)
+    # the counts are stored as int, so the result's fields serialise
+    for item in result if isinstance(result, list) else [result]:
+        fields = dataclasses.asdict(item)
+        assert all(type(fields[key]) is int for key in ("n_samples", "n_bins") if key in fields)
+        json.dumps(fields)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, 0, -1, "2"], ids=repr)
+def test_bad_profile_length_is_a_domain_error_naming_it(bad):
+    # 2.5 used to raise a bare TypeError and True to give the profile (0.0,)
+    message = f"profile length must be a positive integer, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        exponent_profile(1.0, bad)
+
+
+def test_numpy_integer_profile_length_is_accepted():
+    assert exponent_profile(1.5, np.int64(2)) == exponent_profile(1.5, 2) == (0.0, 0.5)

@@ -603,13 +603,15 @@ def test_blocks_drops_its_reference_before_it_waits(monkeypatch):
     assert held_after_draw[:2] == [0, 0]
 
 
-def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch):
-    error = OSError("the draw of block 1 failed")
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["block 0", "block 1", "last block"])
+def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
+    # block 0 fails before the first yield, block 1 while block 0 is held
+    error = OSError(f"the draw of block {failing} failed")
     drawn = []
 
     def failing_draw(config, rng, count):
         drawn.append(count)
-        if len(drawn) == 2:  # block 1
+        if len(drawn) == failing + 1:
             raise error
         return _block_channels(config, rng, count)
 
@@ -622,7 +624,8 @@ def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch):
 
     monkeypatch.setattr(simulate, "_block_channels", failing_draw)
     raised, extra_threads = _bounded(walk)
-    assert raised is error and extra_threads == 0 and len(drawn) == 2
+    # the same error object, no thread left behind, no block drawn after it
+    assert raised is error and extra_threads == 0 and len(drawn) == failing + 1
 
 
 # ---------------------------------------------------------------------------
