@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 _TOL = 1e-9
@@ -31,18 +31,15 @@ class ConfigurationError(ValueError):
 
 def _is_integer(value) -> bool:
     """Whether an argument is an integer: any ``numbers.Integral`` but a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _check_count(value, name: str) -> int:
     if not _is_integer(value) or value < 1:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
-
-
-def _pos(x: float) -> float:
-    """Positive part: max(x, 0), no epsilon."""
-    return x if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -57,43 +54,58 @@ class AntennaConfig:
         for name in ("m", "k", "n"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
 
-    @property
+    # cached in the instance dict, which the generated eq, hash and repr
+    # never read: the scalar exponent functions look these up on every call
+
+    @cached_property
     def u(self) -> int:
         """Nonzero eigenvalue count of the direct link, min(m, n)."""
         return min(self.m, self.n)
 
-    @property
+    @cached_property
     def p(self) -> int:
         """Nonzero eigenvalue count of the source-relay hop, min(m, k)."""
         return min(self.m, self.k)
 
-    @property
+    @cached_property
     def q(self) -> int:
         """Nonzero eigenvalue count of the relay-destination hop, min(n, k)."""
         return min(self.n, self.k)
 
-    @property
+    @cached_property
     def max_mux(self) -> int:
         """Largest supported multiplexing gain, min(m, n)."""
         return min(self.m, self.n)
+
+    @cached_property
+    def _coeffs(self) -> tuple:
+        """Linear weights and cross-term index pairs of the exponent functionals."""
+        m, k, n = self.m, self.k, self.n
+        u, p, q = self.u, self.p, self.q
+        obj_alpha = tuple(float(n + m + 2 * k - 2 * i - 1) for i in range(u))
+        den_alpha = tuple(float(n + m - 2 * i - 1) for i in range(u))
+        w_beta = tuple(float(k + m - 2 * j - 1) for j in range(p))
+        w_delta = tuple(float(k + n - 2 * l - 1) for l in range(q))
+        # cross terms exist only for index pairs with (i+1) + (j+1) <= m resp. n
+        ab_pairs = tuple((i, j) for i in range(u) for j in range(p) if i + j + 2 <= m)
+        ad_pairs = tuple((i, l) for i in range(u) for l in range(q) if i + l + 2 <= n)
+        return obj_alpha, den_alpha, w_beta, w_delta, ab_pairs, ad_pairs
 
     def swapped(self) -> "AntennaConfig":
         """Reciprocal configuration with source and destination exchanged."""
         return AntennaConfig(self.n, self.k, self.m)
 
 
-def _as_ordered_tuple(values: Sequence[float], name: str) -> tuple:
-    out = tuple(float(v) for v in values)
-    for v in out:
+def _check_ordered(values: tuple, name: str) -> None:
+    for v in values:
         if not math.isfinite(v):
             raise DomainError(f"{name} contains a non-finite entry: {v!r}")
-    for lo, hi in zip(out, out[1:]):
+    for lo, hi in zip(values, values[1:]):
         if hi < lo - 1e-12:
-            raise DomainError(f"{name} must be non-decreasing, got {out}")
-    return out
+            raise DomainError(f"{name} must be non-decreasing, got {values}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExponentTriple:
     """Ordered SNR-exponent vectors of the three eigenvalue sets."""
 
@@ -101,10 +113,22 @@ class ExponentTriple:
     beta: tuple
     delta: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_ordered_tuple(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _as_ordered_tuple(self.beta, "beta"))
-        object.__setattr__(self, "delta", _as_ordered_tuple(self.delta, "delta"))
+    def __init__(self, alpha: Sequence[float], beta: Sequence[float], delta: Sequence[float]):
+        al, be, de = tuple(map(float, alpha)), tuple(map(float, beta)), tuple(map(float, delta))
+        # finite and exactly sorted entries pass in C-level sweeps; anything
+        # else takes the per-vector rule, with its 1e-12 slack and messages
+        if not (
+            all(map(math.isfinite, al + be + de))
+            and all(map(float.__le__, al, al[1:]))
+            and all(map(float.__le__, be, be[1:]))
+            and all(map(float.__le__, de, de[1:]))
+        ):
+            _check_ordered(al, "alpha")
+            _check_ordered(be, "beta")
+            _check_ordered(de, "delta")
+        object.__setattr__(self, "alpha", al)
+        object.__setattr__(self, "beta", be)
+        object.__setattr__(self, "delta", de)
 
 
 class DmtPoint(NamedTuple):
@@ -183,19 +207,9 @@ def _check_lengths(config: AntennaConfig, triple: ExponentTriple) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _coeffs(config: AntennaConfig):
+def _coeffs(config: AntennaConfig) -> tuple:
     """Linear weights and cross-term index pairs of the exponent functionals."""
-    m, k, n = config.m, config.k, config.n
-    u, p, q = config.u, config.p, config.q
-    obj_alpha = tuple(float(n + m + 2 * k - 2 * i - 1) for i in range(u))
-    den_alpha = tuple(float(n + m - 2 * i - 1) for i in range(u))
-    w_beta = tuple(float(k + m - 2 * j - 1) for j in range(p))
-    w_delta = tuple(float(k + n - 2 * l - 1) for l in range(q))
-    # cross terms exist only for index pairs with (i+1) + (j+1) <= m resp. n
-    ab_pairs = tuple((i, j) for i in range(u) for j in range(p) if i + j + 2 <= m)
-    ad_pairs = tuple((i, l) for i in range(u) for l in range(q) if i + l + 2 <= n)
-    return obj_alpha, den_alpha, w_beta, w_delta, ab_pairs, ad_pairs
+    return config._coeffs
 
 
 def diversity_objective(config: AntennaConfig, triple: ExponentTriple) -> float:
@@ -205,19 +219,20 @@ def diversity_objective(config: AntennaConfig, triple: ExponentTriple) -> float:
     agrees exactly with :func:`density_exponent`.
     """
     _check_lengths(config, triple)
-    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = _coeffs(config)
+    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = config._coeffs
     al, be, de = triple.alpha, triple.beta, triple.delta
     total = -2.0 * config.k * config.u
-    for c, x in zip(obj_alpha, al):
+    for c, x in zip(obj_alpha + w_beta + w_delta, al + be + de):
         total += c * x
-    for c, x in zip(w_beta, be):
-        total += c * x
-    for c, x in zip(w_delta, de):
-        total += c * x
+    # a hinge at or below 0 adds nothing: total is never -0.0 here
     for i, j in ab_pairs:
-        total += _pos(1.0 - al[i] - be[j])
+        hinge = 1.0 - al[i] - be[j]
+        if hinge > 0.0:
+            total += hinge
     for i, l in ad_pairs:
-        total += _pos(1.0 - al[i] - de[l])
+        hinge = 1.0 - al[i] - de[l]
+        if hinge > 0.0:
+            total += hinge
     return total
 
 
@@ -228,21 +243,24 @@ def density_exponent(config: AntennaConfig, triple: ExponentTriple) -> float:
     Meaningful only on the support set, see :func:`in_support`.
     """
     _check_lengths(config, triple)
-    _, den_alpha, w_beta, w_delta, ab_pairs, ad_pairs = _coeffs(config)
+    _, den_alpha, w_beta, w_delta, ab_pairs, ad_pairs = config._coeffs
     al, be, de = triple.alpha, triple.beta, triple.delta
     total = 0.0
-    for c, x in zip(den_alpha, al):
+    for c, x in zip(den_alpha + w_beta + w_delta, al + be + de):
         total += c * x
-    for c, x in zip(w_beta, be):
-        total += c * x
-    for c, x in zip(w_delta, de):
-        total += c * x
+    # total starts at +0.0 and so is never -0.0: skipping a zero hinge
+    # leaves it bit for bit as adding it would
     for x in al:
-        total -= 2.0 * config.k * _pos(1.0 - x)
+        if x < 1.0:
+            total -= 2.0 * config.k * (1.0 - x)
     for i, j in ab_pairs:
-        total += _pos(1.0 - al[i] - be[j])
+        hinge = 1.0 - al[i] - be[j]
+        if hinge > 0.0:
+            total += hinge
     for i, l in ad_pairs:
-        total += _pos(1.0 - al[i] - de[l])
+        hinge = 1.0 - al[i] - de[l]
+        if hinge > 0.0:
+            total += hinge
     return total
 
 
@@ -279,9 +297,9 @@ def rate_exponent(triple: ExponentTriple) -> float:
     """Multiplexing level carried by a triple: the direct-link level plus the
     harmonic split of the two relay hops (zero when both hops carry nothing).
     """
-    sa = sum(_pos(1.0 - x) for x in triple.alpha)
-    sb = sum(_pos(1.0 - x) for x in triple.beta)
-    sd = sum(_pos(1.0 - x) for x in triple.delta)
+    sa = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.alpha)
+    sb = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.beta)
+    sd = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.delta)
     if sb + sd == 0.0:
         return sa
     return sa + sb * sd / (sb + sd)
@@ -298,4 +316,9 @@ def exponent_profile(level: float, length: int) -> tuple:
         raise DomainError(f"profile length must be a positive integer, got {length!r}")
     if not -_TOL <= level <= length + _TOL:
         raise DomainError(f"level {level} outside [0, {length}]")
-    return tuple(_pos(1.0 - _pos(level - i)) for i in range(length))
+    out = []
+    for i in range(length):
+        spent = level - i
+        v = 1.0 - spent if spent > 0.0 else 1.0
+        out.append(v if v > 0.0 else 0.0)
+    return tuple(out)

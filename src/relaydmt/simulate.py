@@ -234,10 +234,22 @@ def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.nd
     return tuple(0.5 * (w + w.conj().transpose(0, 2, 1)) for w in (w1, w2, w3))
 
 
+def _check_rho(rho: float, above_one: bool = False) -> None:
+    """The SNR rule of every entry point: a finite number above 0, or above 1
+    where a log base or an outage threshold needs it.  A ``bool`` is refused,
+    not read as 0 or 1."""
+    if isinstance(rho, (bool, np.bool_)):
+        raise DomainError(f"rho must be a number, not a bool, got {rho!r}")
+    if above_one:
+        if not 1.0 < rho < math.inf:
+            raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
+    elif not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
+
+
 def cutset_terms(sample: ChannelSample, rho: float) -> CutsetTerms:
     """Evaluate the three cut log determinants in the log domain."""
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"rho must be positive and finite, got {rho}")
+    _check_rho(rho)
     l_sd, l_srd, l_s_rd = _cut_log2dets(
         rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None]
     )
@@ -284,8 +296,7 @@ def _eigen_exponent_rows(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: n
 def eigen_exponents(sample: ChannelSample, rho: float) -> ExponentTriple:
     """Negative SNR exponents of the ordered eigenvalues of the three
     composite channel matrices; requires rho > 1 so the log base is sound."""
-    if not 1.0 < rho < math.inf:
-        raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
+    _check_rho(rho, above_one=True)
     rows = _eigen_exponent_rows(rho, sample.h_sd[None], sample.h_sr[None], sample.h_rd[None])
     return ExponentTriple(*(tuple(r[0].tolist()) for r in rows))
 
@@ -387,8 +398,7 @@ def outage_probabilities(
     if not rhos:
         raise DomainError("need at least one SNR point")
     for rho in rhos:
-        if not 1.0 < rho < math.inf:
-            raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
+        _check_rho(rho, above_one=True)
     # outage is degenerate at r <= 0 and no longer decays with SNR from max_mux on
     if not 0.0 < r < config.max_mux:
         raise DomainError(f"r={r} must lie strictly between 0 and {config.max_mux}")
@@ -491,8 +501,7 @@ def conditional_independence_check(
     each bin the report records the correlation of the two hop eigenvalues,
     alongside a shuffled-pairing control and the unconditional correlation.
     """
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"rho must be positive and finite, got {rho}")
+    _check_rho(rho)
     n_samples, n_bins = _check_integers(n_samples=n_samples, n_bins=n_bins)
     if n_samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {n_samples}")

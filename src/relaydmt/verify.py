@@ -51,25 +51,37 @@ def check_profile_consistency() -> str:
     return f"max level deficit error {worst:.2e}"
 
 
+def _closure_levels(rng: np.random.Generator, c: AntennaConfig, count: int) -> list:
+    """``count`` level triples: a uniform on [0, u), then b and s uniform up to
+    the hop caps that a leaves.
+
+    The doubles come in one block.  ``Generator.uniform(0, high)`` returns
+    0.0 + high * x for its double x, and adding 0.0 to a non-negative
+    product changes no bit, so the triples equal ``count`` rounds of three
+    per-row ``uniform`` calls."""
+    levels = []
+    for x, y, z in rng.random((count, 3)).tolist():
+        a = c.u * x
+        levels.append((a, min(c.p, c.m - a) * y, min(c.q, c.n - a) * z))
+    return levels
+
+
 def check_profile_support_closure() -> str:
     rng = np.random.default_rng(103)
     checked = 0
     for mkn in [(1, 1, 1), (2, 2, 2), (1, 3, 2), (3, 2, 1)]:
         c = AntennaConfig(*mkn)
-        for _ in range(500):
-            a = float(rng.uniform(0, c.u))
-            b = float(rng.uniform(0, min(c.p, c.m - a)))
-            s = float(rng.uniform(0, min(c.q, c.n - a)))
+        for a, b, s in _closure_levels(rng, c, 500):
             t = ExponentTriple(
                 exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)
             )
-            _expect(in_support(c, t), f"profile left the support at {mkn}")
+            # the messages are formatted on failure only, not on each row
+            if not in_support(c, t):
+                raise CheckFailure(f"profile left the support at {mkn}")
             rate = rate_exponent(t)
             expect = a + (b * s / (b + s) if b > 0 and s > 0 else 0.0)
-            _expect(
-                abs(rate - expect) <= 1e-9,
-                f"rate level mismatch at {mkn}: {rate} vs {expect}",
-            )
+            if not abs(rate - expect) <= 1e-9:
+                raise CheckFailure(f"rate level mismatch at {mkn}: {rate} vs {expect}")
             checked += 1
     return f"{checked} sampled level triples closed"
 
@@ -83,7 +95,7 @@ def check_objective_density_identity() -> str:
             np.sort(rng.uniform(size=(2500, w)), axis=1).tolist() for w in (c.u, c.p, c.q)
         )
         for row in zip(alpha, beta, delta):
-            t = ExponentTriple(*map(tuple, row))
+            t = ExponentTriple(*row)
             worst = max(
                 worst, abs(diversity_objective(c, t) - density_exponent(c, t))
             )

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import relaydmt
@@ -340,7 +341,15 @@ def _shift_variant(monkeypatch, variant, shift):
     monkeypatch.setitem(solvers._REGISTRY, variant, (needs, lambda c, grid: [d + shift for d in fn(c, grid)]))
 
 
-# an upper bound is lowered, not raised: raising it cannot break a <= check
+def _shift_scalar(monkeypatch, name, shift):
+    from relaydmt import verify
+
+    fn = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: fn(*args) + shift)
+
+
+# an upper bound is lowered, not raised: raising it cannot break a <= check;
+# the scalar shifts sit just past the identity (1e-12) and rate (1e-9) bounds
 @pytest.mark.parametrize(
     "target, shift, label",
     [
@@ -349,20 +358,43 @@ def _shift_variant(monkeypatch, variant, shift):
         ("hd-static", 0.01, "static equals dynamic (n,1,n)"),
         ("fd", -0.01, "sandwich bounds"),
         ("symmetric-upper", -0.01, "symmetric upper bound dominance"),
+        ("density_exponent", 1e-9, "objective/density identity"),
+        ("rate_exponent", 1e-6, "profile support closure"),
     ],
-    ids=["profile", "closed-1k1", "hd-static", "fd", "symmetric-upper"],
+    ids=["profile", "closed-1k1", "hd-static", "fd", "symmetric-upper",
+         "density_exponent", "rate_exponent"],
 )
 def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys, target, shift, label):
     from relaydmt import verify
 
     if target == "profile":
         monkeypatch.setattr(verify, "exponent_profile", _biased_profile)
+    elif target in ("density_exponent", "rate_exponent"):
+        _shift_scalar(monkeypatch, target, shift)
     else:
         _shift_variant(monkeypatch, target, shift)
     code = main(["verify"])
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert f"FAIL  {label}" in out
+
+
+@pytest.mark.parametrize("seed", [103, 0, 2**40])
+def test_closure_levels_equal_per_row_uniform_draws(seed):
+    # the closure check draws each config's levels as one block; they must be
+    # the triples that three per-row uniform calls gave, in the same order
+    from relaydmt import AntennaConfig, verify
+
+    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for mkn in [(1, 1, 1), (2, 2, 2), (1, 3, 2), (3, 2, 1)]:
+        c = AntennaConfig(*mkn)
+        rows = []
+        for _ in range(500):
+            a = float(row_rng.uniform(0, c.u))
+            b = float(row_rng.uniform(0, min(c.p, c.m - a)))
+            s = float(row_rng.uniform(0, min(c.q, c.n - a)))
+            rows.append((a, b, s))
+        assert verify._closure_levels(block_rng, c, 500) == rows
 
 
 def test_cli_import_leaves_scipy_unloaded():

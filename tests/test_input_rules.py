@@ -1,8 +1,10 @@
 """One owner per input rule: every antenna count goes through AntennaConfig's
-check, and channel_rng owns the seed and stream range."""
+check, channel_rng owns the seed and stream range, and simulate._check_rho
+owns the SNR range."""
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -14,15 +16,18 @@ from relaydmt import (
     DomainError,
     channel_rng,
     conditional_independence_check,
+    cutset_terms,
     dmt_1k1,
     dmt_ddf_1k1,
     dmt_n1n,
     dmt_static_1k1,
     dmt_symmetric_upper,
+    eigen_exponents,
     exponent_profile,
     outage_probabilities,
     outage_probability,
     ptp_dmt,
+    sample_channel,
     solve_static_n1n,
 )
 
@@ -136,3 +141,45 @@ def test_bad_profile_length_is_a_domain_error_naming_it(bad):
 
 def test_numpy_integer_profile_length_is_accepted():
     assert exponent_profile(1.5, np.int64(2)) == exponent_profile(1.5, 2) == (0.0, 0.5)
+
+
+SAMPLE = sample_channel(ONE, channel_rng(3))
+# entry point -> (its range rule, call with that SNR, every other argument valid)
+SNR_ENTRY_POINTS = {
+    "cutset_terms": ("be positive and finite", lambda rho: cutset_terms(SAMPLE, rho)),
+    "eigen_exponents": ("exceed 1 and be finite", lambda rho: eigen_exponents(SAMPLE, rho)),
+    "outage_probability": (
+        "exceed 1 and be finite", lambda rho: outage_probability(ONE, rho, 0.5, 2000, 1)
+    ),
+    "outage_probabilities": (
+        "exceed 1 and be finite", lambda rho: outage_probabilities(ONE, [10.0, rho], 0.5, 2000, 1)
+    ),
+    "conditional_independence_check": (
+        "be positive and finite", lambda rho: conditional_independence_check(ONE, rho, 1000, 2, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("entry", SNR_ENTRY_POINTS)
+def test_bool_snr_is_a_domain_error_naming_rho(entry, bad):
+    # cutset_terms(sample, True) used to return CutsetTerms(rho=True), and
+    # conditional_independence_check ran at rho = 1
+    message = f"rho must be a number, not a bool, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SNR_ENTRY_POINTS[entry][1](bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("entry", SNR_ENTRY_POINTS)
+def test_bad_snr_keeps_its_range_message(entry, bad):
+    rule, call = SNR_ENTRY_POINTS[entry]
+    message = f"rho must {rule}, got {bad}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_numeric_snr_types_are_accepted():
+    assert cutset_terms(SAMPLE, np.float64(100.0)) == cutset_terms(SAMPLE, 100.0)
+    assert cutset_terms(SAMPLE, 100).rho == 100
+    assert eigen_exponents(SAMPLE, np.int64(100)) == eigen_exponents(SAMPLE, 100.0)
