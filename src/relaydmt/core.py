@@ -163,9 +163,18 @@ class DmtCurve:
         }
 
 
+def _check_number(value, name: str):
+    """``value`` if it is a real number; a bool (numpy's too) is not read as 0 or 1."""
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be a number, not a bool, got {value!r}")
+
+
 def _check_r(r: float, top: float) -> float:
-    """r clamped to [0, top]; beyond float dust outside it, or NaN, is a
-    DomainError."""
+    """r clamped to [0, top]; beyond float dust outside it, NaN or a bool is
+    a DomainError."""
+    if type(r) is not float:
+        _check_number(r, "r")
     if not -_TOL <= r <= top + _TOL:
         raise DomainError(f"r={r} outside [0, {top}]")
     return min(max(r, 0.0), float(top))
@@ -205,11 +214,6 @@ def _check_lengths(config: AntennaConfig, triple: ExponentTriple) -> None:
             f"{config.q}), got ({len(triple.alpha)}, {len(triple.beta)}, "
             f"{len(triple.delta)})"
         )
-
-
-def _coeffs(config: AntennaConfig) -> tuple:
-    """Linear weights and cross-term index pairs of the exponent functionals."""
-    return config._coeffs
 
 
 def diversity_objective(config: AntennaConfig, triple: ExponentTriple) -> float:
@@ -293,13 +297,21 @@ def in_support(config: AntennaConfig, triple: ExponentTriple, slack: float = 0.0
     return True
 
 
+def _deficit(vector: tuple) -> float:
+    """Sum of 1 - x over the entries below 1, added left to right from +0.0,
+    so that every CPython gives the same bits (``sum()`` compensates from 3.12)."""
+    total = 0.0
+    for x in vector:
+        if x < 1.0:
+            total += 1.0 - x
+    return total
+
+
 def rate_exponent(triple: ExponentTriple) -> float:
     """Multiplexing level carried by a triple: the direct-link level plus the
     harmonic split of the two relay hops (zero when both hops carry nothing).
     """
-    sa = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.alpha)
-    sb = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.beta)
-    sd = sum(1.0 - x if x < 1.0 else 0.0 for x in triple.delta)
+    sa, sb, sd = _deficit(triple.alpha), _deficit(triple.beta), _deficit(triple.delta)
     if sb + sd == 0.0:
         return sa
     return sa + sb * sd / (sb + sd)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AntennaConfig, DomainError, ExponentTriple, _is_integer
+from .core import AntennaConfig, DomainError, ExponentTriple, _check_number, _is_integer
 
 BLOCK_SIZE = 65536
 
@@ -235,11 +235,9 @@ def _composite_grams(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.nd
 
 
 def _check_rho(rho: float, above_one: bool = False) -> None:
-    """The SNR rule of every entry point: a finite number above 0, or above 1
-    where a log base or an outage threshold needs it.  A ``bool`` is refused,
-    not read as 0 or 1."""
-    if isinstance(rho, (bool, np.bool_)):
-        raise DomainError(f"rho must be a number, not a bool, got {rho!r}")
+    """The SNR rule of every entry point: a finite number (never a ``bool``)
+    above 0, or above 1 where a log base or an outage threshold needs it."""
+    _check_number(rho, "rho")
     if above_one:
         if not 1.0 < rho < math.inf:
             raise DomainError(f"rho must exceed 1 and be finite, got {rho}")
@@ -400,7 +398,7 @@ def outage_probabilities(
     for rho in rhos:
         _check_rho(rho, above_one=True)
     # outage is degenerate at r <= 0 and no longer decays with SNR from max_mux on
-    if not 0.0 < r < config.max_mux:
+    if not 0.0 < _check_number(r, "r") < config.max_mux:
         raise DomainError(f"r={r} must lie strictly between 0 and {config.max_mux}")
     n_samples, workers = _check_integers(n_samples=n_samples, workers=workers)
     if n_samples < 1000:

@@ -27,8 +27,8 @@ from .core import (
     ExponentTriple,
     _TOL,
     _check_count,
+    _check_number,
     _check_r,
-    _coeffs,
     exponent_profile,
     fd_dmt,
     ptp_dmt,
@@ -81,7 +81,7 @@ def _profile_rows(levels: np.ndarray, length: int) -> np.ndarray:
 
 def _objective_rows(config: AntennaConfig, pa, pb, pd) -> np.ndarray:
     """Objective on stacked profile rows; mirrors core.diversity_objective."""
-    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = _coeffs(config)
+    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = config._coeffs
     total = pa @ np.asarray(obj_alpha)
     total += pb @ np.asarray(w_beta)
     total += pd @ np.asarray(w_delta)
@@ -333,7 +333,7 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
     sb = (1.0 - B).sum(axis=1)
     sd = (1.0 - D).sum(axis=1)
     m, k, n = config.m, config.k, config.n
-    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = _coeffs(config)
+    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = config._coeffs
     fa = A @ np.asarray(obj_alpha) - 2.0 * k * u
     fb = B @ np.asarray(w_beta)
     fd_ = D @ np.asarray(w_delta)
@@ -521,7 +521,7 @@ def dmt_curve(config: AntennaConfig, variant: str, r_grid: Sequence[float]) -> D
     needs, fn = _REGISTRY[variant]
     if needs is not None and not needs[1](config):
         raise ConfigurationError(f"variant {variant!r} needs {needs[0]}, got {config}")
-    grid = [float(r) for r in r_grid]
+    grid = [float(_check_number(r, "r")) for r in r_grid]
     if not grid:
         raise DomainError("r grid is empty")
     return DmtCurve(config=config, variant=variant, points=tuple(zip(grid, fn(config, grid))))

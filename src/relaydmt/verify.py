@@ -37,10 +37,10 @@ def _expect(condition: bool, message: str) -> None:
 
 def check_profile_consistency() -> str:
     rng = np.random.default_rng(101)
+    lengths = rng.integers(1, 5, 2000)
+    levels = rng.random(2000) * lengths
     worst = 0.0
-    for _ in range(2000):
-        length = int(rng.integers(1, 5))
-        level = float(rng.uniform(0, length))
+    for level, length in zip(levels.tolist(), lengths.tolist()):
         v = exponent_profile(level, length)
         worst = max(worst, abs(sum(1.0 - x for x in v) - level))
         _expect(all(0.0 <= x <= 1.0 for x in v), "profile entry escaped [0, 1]")
@@ -51,27 +51,16 @@ def check_profile_consistency() -> str:
     return f"max level deficit error {worst:.2e}"
 
 
-def _closure_levels(rng: np.random.Generator, c: AntennaConfig, count: int) -> list:
-    """``count`` level triples: a uniform on [0, u), then b and s uniform up to
-    the hop caps that a leaves.
-
-    The doubles come in one block.  ``Generator.uniform(0, high)`` returns
-    0.0 + high * x for its double x, and adding 0.0 to a non-negative
-    product changes no bit, so the triples equal ``count`` rounds of three
-    per-row ``uniform`` calls."""
-    levels = []
-    for x, y, z in rng.random((count, 3)).tolist():
-        a = c.u * x
-        levels.append((a, min(c.p, c.m - a) * y, min(c.q, c.n - a) * z))
-    return levels
-
-
 def check_profile_support_closure() -> str:
     rng = np.random.default_rng(103)
     checked = 0
     for mkn in [(1, 1, 1), (2, 2, 2), (1, 3, 2), (3, 2, 1)]:
         c = AntennaConfig(*mkn)
-        for a, b, s in _closure_levels(rng, c, 500):
+        x, y, z = rng.random((3, 500))
+        a = c.u * x
+        b = np.minimum(c.p, c.m - a) * y
+        s = np.minimum(c.q, c.n - a) * z
+        for a, b, s in zip(a.tolist(), b.tolist(), s.tolist()):
             t = ExponentTriple(
                 exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)
             )

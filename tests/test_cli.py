@@ -2,8 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import relaydmt
@@ -336,9 +336,13 @@ def _biased_profile(level, length):
     return tuple(min(1.0, x + 0.01) for x in exponent_profile(level, length))
 
 
-def _shift_variant(monkeypatch, variant, shift):
+def _shift_variant(monkeypatch, variant, shift, where=lambda c: True):
     needs, fn = solvers._REGISTRY[variant]
-    monkeypatch.setitem(solvers._REGISTRY, variant, (needs, lambda c, grid: [d + shift for d in fn(c, grid)]))
+
+    def shifted(c, grid):
+        return [d + shift for d in fn(c, grid)] if where(c) else fn(c, grid)
+
+    monkeypatch.setitem(solvers._REGISTRY, variant, (needs, shifted))
 
 
 def _shift_scalar(monkeypatch, name, shift):
@@ -360,9 +364,12 @@ def _shift_scalar(monkeypatch, name, shift):
         ("symmetric-upper", -0.01, "symmetric upper bound dominance"),
         ("density_exponent", 1e-9, "objective/density identity"),
         ("rate_exponent", 1e-6, "profile support closure"),
+        ("hd-dynamic m<n", 0.01, "reciprocity"),
+        ("solve_general_grid", 0.2, "grid-oracle agreement"),
+        ("_cut_log2dets", -1.0, "cut-set sample properties"),
     ],
     ids=["profile", "closed-1k1", "hd-static", "fd", "symmetric-upper",
-         "density_exponent", "rate_exponent"],
+         "density_exponent", "rate_exponent", "reciprocity", "grid-oracle", "cut-set"],
 )
 def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys, target, shift, label):
     from relaydmt import verify
@@ -371,30 +378,31 @@ def test_verify_fault_injection_fails_and_names_check(monkeypatch, capsys, targe
         monkeypatch.setattr(verify, "exponent_profile", _biased_profile)
     elif target in ("density_exponent", "rate_exponent"):
         _shift_scalar(monkeypatch, target, shift)
+    elif target == "hd-dynamic m<n":
+        # only one side of each reciprocal pair moves
+        _shift_variant(monkeypatch, "hd-dynamic", shift, lambda c: c.m < c.n)
+    elif target == "solve_general_grid":
+        fn = verify.solve_general_grid
+
+        def raised(*args):
+            result = fn(*args)
+            return replace(result, d=result.d + shift)
+
+        monkeypatch.setattr(verify, target, raised)
+    elif target == "_cut_log2dets":
+        fn = verify._cut_log2dets
+
+        def lowered(*args):
+            l_sd, l_srd, l_s_rd = fn(*args)
+            return l_sd, l_srd + shift, l_s_rd
+
+        monkeypatch.setattr(verify, target, lowered)
     else:
         _shift_variant(monkeypatch, target, shift)
     code = main(["verify"])
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert f"FAIL  {label}" in out
-
-
-@pytest.mark.parametrize("seed", [103, 0, 2**40])
-def test_closure_levels_equal_per_row_uniform_draws(seed):
-    # the closure check draws each config's levels as one block; they must be
-    # the triples that three per-row uniform calls gave, in the same order
-    from relaydmt import AntennaConfig, verify
-
-    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for mkn in [(1, 1, 1), (2, 2, 2), (1, 3, 2), (3, 2, 1)]:
-        c = AntennaConfig(*mkn)
-        rows = []
-        for _ in range(500):
-            a = float(row_rng.uniform(0, c.u))
-            b = float(row_rng.uniform(0, min(c.p, c.m - a)))
-            s = float(row_rng.uniform(0, min(c.q, c.n - a)))
-            rows.append((a, b, s))
-        assert verify._closure_levels(block_rng, c, 500) == rows
 
 
 def test_cli_import_leaves_scipy_unloaded():

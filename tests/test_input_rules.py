@@ -1,6 +1,7 @@
 """One owner per input rule: every antenna count goes through AntennaConfig's
-check, channel_rng owns the seed and stream range, and simulate._check_rho
-owns the SNR range."""
+check, channel_rng owns the seed and stream range, simulate._check_rho owns
+the SNR range and core._check_r the multiplexing gain; core._check_number
+refuses a bool for both."""
 
 import dataclasses
 import json
@@ -18,17 +19,22 @@ from relaydmt import (
     conditional_independence_check,
     cutset_terms,
     dmt_1k1,
+    dmt_curve,
     dmt_ddf_1k1,
     dmt_n1n,
     dmt_static_1k1,
     dmt_symmetric_upper,
     eigen_exponents,
     exponent_profile,
+    fd_dmt,
     outage_probabilities,
     outage_probability,
     ptp_dmt,
     sample_channel,
+    solve_general_grid,
+    solve_static,
     solve_static_n1n,
+    solve_two_var,
 )
 
 # entry point -> (name of the count it is called with, call with that count)
@@ -183,3 +189,38 @@ def test_numeric_snr_types_are_accepted():
     assert cutset_terms(SAMPLE, np.float64(100.0)) == cutset_terms(SAMPLE, 100.0)
     assert cutset_terms(SAMPLE, 100).rho == 100
     assert eigen_exponents(SAMPLE, np.int64(100)) == eigen_exponents(SAMPLE, 100.0)
+
+
+TWO = AntennaConfig(2, 2, 2)
+# entry point -> call with that multiplexing gain, every other argument valid
+R_ENTRY_POINTS = {
+    "solve_two_var": lambda r: solve_two_var(TWO, r),
+    "solve_static": lambda r: solve_static(TWO, r),
+    "solve_general_grid": lambda r: solve_general_grid(ONE, r, 0.25),
+    "solve_static_n1n": lambda r: solve_static_n1n(2, r),
+    "dmt_1k1": lambda r: dmt_1k1(2, r),
+    "dmt_ddf_1k1": lambda r: dmt_ddf_1k1(2, r),
+    "dmt_static_1k1": lambda r: dmt_static_1k1(2, r),
+    "dmt_n1n": lambda r: dmt_n1n(2, r),
+    "dmt_symmetric_upper": lambda r: dmt_symmetric_upper(2, 2, r),
+    "ptp_dmt": lambda r: ptp_dmt(2, 2, r),
+    "fd_dmt": lambda r: fd_dmt(TWO, r),
+    "dmt_curve": lambda r: dmt_curve(TWO, "fd", [0.0, r]),
+    "outage_probability": lambda r: outage_probability(TWO, 100.0, r, 1000, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("entry", R_ENTRY_POINTS)
+def test_bool_r_is_a_domain_error_naming_r(entry, bad):
+    # solve_two_var(c, True) used to give the r = 1 value, dmt_curve a point
+    # at r = 1.0 and outage_probability an estimate with r = True
+    message = f"r must be a number, not a bool, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        R_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", R_ENTRY_POINTS)
+def test_numeric_r_types_are_accepted(entry):
+    call = R_ENTRY_POINTS[entry]
+    assert call(np.float64(1.0)) == call(1) == call(1.0)
