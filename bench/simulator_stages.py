@@ -1,24 +1,29 @@
 """Stage-by-stage timing of the outage simulator.
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation as
-the minimum over ``--repeats`` runs: the Philox draw, the Gram build, the
-log-det and the rate combine, then the whole block as the outage estimator
-runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
+the minimum over ``--repeats`` runs: the raw Philox draw (the draw thread's
+whole work), the link build (scaling the raw normals and laying them out
+samples-last, on the caller), the Gram build, the log-det and the rate
+combine, then the whole block as the outage estimator runs it at one SNR,
+for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
 ``outage_probabilities`` call) against 5 single-point calls, and one scalar
 ``cutset_terms`` call (a batch of one).  For the two outage workloads of the
 benchmark it splits a 4-block (262,144-sample), 5-SNR sweep into the serial
-draw of its blocks and the serial scoring of the drawn blocks, beside the
+raw draw of its blocks and the serial scoring of the drawn blocks, beside the
 wall time of the ``outage_probabilities`` call, which overlaps the two.
-It also times each scoring pass alone: pass 1 builds the direct cut of every
-sample, pass 2 the relay cuts of the samples whose direct link falls short of
-the threshold (their share is reported per SNR).
+It also times each scoring pass alone: pass 1 builds the direct link and cut
+of every sample, pass 2 the links and relay cuts of the samples whose direct
+link falls short of the threshold (their share is reported per SNR); and the
+link build of the two passes alone.
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --out BENCH_<pr>.json
 
 Each source tree is timed in a fresh interpreter that imports ``relaydmt``
-from that tree, so two versions of the package never share a process.
+from that tree, so two versions of the package never share a process.  A
+tree from before the raw-draw split (no ``simulate._block_normals``) is timed
+with that commit's copy of this script.
 """
 
 from __future__ import annotations
@@ -62,7 +67,8 @@ def measure(repeats: int) -> dict:
     result = {}
     for mkn in CONFIGS:
         config = AntennaConfig(*mkn)
-        channels = sim._block_channels(config, sim.channel_rng(1), count)
+        parts = sim._block_normals(config, sim.channel_rng(1), count)
+        channels = sim._channels(parts)
 
         def logdet(grams):
             return [sim._log2_det_eye_plus(RHO, g) for g in grams]
@@ -78,7 +84,10 @@ def measure(repeats: int) -> dict:
 
         result["%d,%d,%d" % mkn] = {
             "samples": count,
-            "draw_ms": 1e3 * _best(lambda: sim._block_channels(config, sim.channel_rng(1), count), repeats),
+            "draw_ms": 1e3 * _best(
+                lambda: sim._block_normals(config, sim.channel_rng(1), count), repeats
+            ),
+            "links_ms": 1e3 * _best(lambda: sim._channels(parts), repeats),
             "gram_ms": 1e3 * _best(lambda: sim._cut_grams(*channels), repeats),
             "logdet_ms": 1e3 * _best(lambda: logdet(grams), repeats),
             "combine_ms": 1e3 * _best(lambda: sim._switch_and_rate(*logs), repeats),
@@ -97,8 +106,9 @@ def measure(repeats: int) -> dict:
 
 def measure_sweeps(repeats: int) -> dict:
     """The workload sweeps of the ``relaydmt`` on ``sys.path``, in
-    milliseconds: the serial draw of the blocks, their serial scoring (the
-    estimator fed blocks drawn beforehand) and the estimator's own wall time."""
+    milliseconds: the serial raw draw of the blocks, their serial scoring
+    (the estimator fed blocks drawn beforehand) and the estimator's own wall
+    time."""
     from relaydmt import AntennaConfig
     from relaydmt import simulate as sim
 
@@ -109,7 +119,7 @@ def measure_sweeps(repeats: int) -> dict:
         rhos = [10.0 ** (db / 10.0) for db in snr_db]
 
         def draw(index):
-            return sim._block_channels(config, sim.channel_rng(1, index), sim.BLOCK_SIZE)
+            return sim._block_normals(config, sim.channel_rng(1, index), sim.BLOCK_SIZE)
 
         def draws():
             for index in range(SWEEP_BLOCKS):
@@ -137,19 +147,37 @@ def measure_sweeps(repeats: int) -> dict:
 
 def _measure_passes(sim, drawn, rhos, r, repeats: int) -> dict:
     """The two scoring passes of the outage sweep over blocks drawn
-    beforehand, each timed alone: pass 1 (the direct cut at every SNR) and
-    pass 2 (the relay cuts of the samples pass 1 leaves undecided), with the
-    undecided share of the samples at each SNR and over the whole grid."""
+    beforehand, each timed alone: pass 1 (the direct link and cut at every
+    SNR) and pass 2 (the links and relay cuts of the samples pass 1 leaves
+    undecided); the link build of both passes alone (the direct link in
+    ``_CHUNK`` slices, the three links of the undecided samples in ``_CHUNK``
+    gathers); and the undecided share of the samples at each SNR and over
+    the whole grid."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
-    links = [[h.transpose(1, 2, 0) for h in block] for block in drawn]
-    decided = [sim._direct_pass(block, rhos, thresholds) for block in links]
-    count = sum(len(block[0]) for block in drawn)
+    decided = [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
+    count = sum(len(parts[0][0]) for parts in drawn)
     short = sum((l_sd < thresholds[:, None]).sum(axis=1) for _, l_sd in decided)
+
+    def links():
+        for parts, (undecided, _) in zip(drawn, decided):
+            for start in range(0, len(parts[0][0]), sim._CHUNK):
+                sim._links(parts[0], slice(start, start + sim._CHUNK))
+            for start in range(0, len(undecided), sim._CHUNK):
+                picked = undecided[start : start + sim._CHUNK]
+                for link in parts:
+                    sim._links(link, picked)
+
     return {
-        "pass1_ms": 1e3 * _best(lambda: [sim._direct_pass(b, rhos, thresholds) for b in links], repeats),
-        "pass2_ms": 1e3 * _best(
-            lambda: [sim._relay_pass(b, *d, rhos, thresholds) for b, d in zip(links, decided)], repeats
+        "pass1_ms": 1e3 * _best(
+            lambda: [sim._direct_pass(parts, rhos, thresholds) for parts in drawn], repeats
         ),
+        "pass2_ms": 1e3 * _best(
+            lambda: [
+                sim._relay_pass(parts, *d, rhos, thresholds) for parts, d in zip(drawn, decided)
+            ],
+            repeats,
+        ),
+        "links_ms": 1e3 * _best(links, repeats),
         "undecided_per_snr": (short / count).tolist(),
         "undecided_any_snr": sum(len(undecided) for undecided, _ in decided) / count,
     }
@@ -185,11 +213,15 @@ def main(argv=None) -> int:
             "stages timed in isolation, block_ms is the estimator's whole block; "
             "sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it, "
             "points_ms the same as 5 single-point calls. sweeps: the outage workloads' "
-            f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks one after another, "
+            f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks' raw normals one "
+            "after another (the draw thread's work), "
             "score_ms runs outage_probabilities on blocks drawn beforehand, sweep_ms is the "
             "outage_probabilities call as simulate makes it, drawing and scoring; "
-            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, and undecided_per_snr / undecided_any_snr give the share of "
-            "samples whose direct link falls short of r log2(rho) at each SNR / at any"
+            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, links_ms "
+            "the link build inside them (direct link per slice, undecided samples' links per "
+            "gather), and undecided_per_snr / undecided_any_snr give the share of samples "
+            "whose direct link falls short of r log2(rho) at each SNR / at any; per block, "
+            "draw_ms is the raw draw and links_ms lays the whole block out"
         ),
         "host": {
             "cpus": os.cpu_count(),

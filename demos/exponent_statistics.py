@@ -20,13 +20,20 @@ from relaydmt import (
     in_support,
     rate_exponent,
 )
-from relaydmt.simulate import _blocks, _cut_log2dets, _eigen_exponent_rows, _switch_and_rate
+from relaydmt.simulate import (
+    _blocks,
+    _channels,
+    _cut_log2dets,
+    _eigen_exponent_rows,
+    _switch_and_rate,
+)
 
 
 def main():
     config = AntennaConfig(1, 1, 1)
     n_samples = 4000
-    (channels,) = _blocks(config, 42, n_samples)
+    (parts,) = _blocks(config, 42, n_samples)
+    channels = _channels(parts)
 
     print("=== rate ceiling vs exponent rate level ===\n")
     print("      rho    median |R/log2(rho) - level|   support violations")

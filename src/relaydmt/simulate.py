@@ -11,6 +11,11 @@ sample count, whatever ``workers`` value is passed and whether an SNR is
 estimated alone or within a sweep.  ``_blocks`` owns this layout: the outage
 sweep and the eigenvalue statistics both walk the samples through it, one
 block drawn ahead on a thread; each block keeps its stream, so no count moves.
+That thread runs the Philox fill alone and hands over raw normals.  The
+caller scales them and lays them out samples-last (``_links``): the outage
+sweep builds the direct link one slice at a time and the hops of the samples
+its direct link leaves undecided only; other readers take whole triples
+(``_channels``).
 """
 
 from __future__ import annotations
@@ -106,28 +111,45 @@ def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) stack of ``shape`` = (count, rows, cols): real and imaginary
-    parts each N(0, 1/2), all real parts drawn first.  The result is a
-    samples-first view of samples-last storage, so that each matrix entry's
-    samples are one contiguous vector for the cut kernel."""
-    count, rows, cols = shape
-    view = np.empty((rows, cols, count), dtype=complex).transpose(2, 0, 1)
+def _block_normals(config: AntennaConfig, rng: np.random.Generator, count: int):
+    """The raw draws of a block of channel triples: per link, in the draw
+    order direct, in-hop, out-hop, a (real, imaginary) pair of N(0, 1)
+    float64 arrays of shape (count, rows, cols), the real part drawn first.
+    This is the whole of a block's Philox fill, one ``standard_normal`` call
+    split into the six arrays: the stream is that of one call per array,
+    but a drawing thread waits for the GIL once per block, not six times.
+    ``_links`` scales and lays the parts out."""
+    m, k, n = config.m, config.k, config.n
+    shapes = [(count, rows, cols) for rows, cols in ((n, m), (k, m), (n, k)) for _ in range(2)]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = rng.standard_normal(sum(sizes))
+    parts = [p.reshape(shape) for p, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    return tuple(zip(parts[0::2], parts[1::2]))
+
+
+def _links(parts, picked) -> np.ndarray:
+    """The CN(0, 1) link of the samples ``picked`` (a slice or an index
+    array) from its raw ``(real, imaginary)`` parts: each part times
+    sqrt(1/2), stored samples-last (rows, cols, count), so that each matrix
+    entry's samples are one contiguous vector for the cut kernel."""
+    re, im = (part[picked] for part in parts)
+    out = np.empty((*re.shape[1:], len(re)), dtype=complex)
     scale = math.sqrt(0.5)
-    np.multiply(rng.standard_normal(shape), scale, out=view.real)
-    np.multiply(rng.standard_normal(shape), scale, out=view.imag)
-    return view
+    np.multiply(re.transpose(1, 2, 0), scale, out=out.real)
+    np.multiply(im.transpose(1, 2, 0), scale, out=out.imag)
+    return out
+
+
+def _channels(parts):
+    """A block's channel triple from its raw parts: samples-first views of
+    samples-last links."""
+    return tuple(_links(p, slice(None)).transpose(2, 0, 1) for p in parts)
 
 
 def _block_channels(config: AntennaConfig, rng: np.random.Generator, count: int):
     """A block of channel triples, stacked on the leading axis (draw order:
     direct, in-hop, out-hop)."""
-    m, k, n = config.m, config.k, config.n
-    return (
-        _complex_gaussian(rng, (count, n, m)),
-        _complex_gaussian(rng, (count, k, m)),
-        _complex_gaussian(rng, (count, n, k)),
-    )
+    return _channels(_block_normals(config, rng, count))
 
 
 def sample_channel(config: AntennaConfig, rng: np.random.Generator) -> ChannelSample:
@@ -316,19 +338,22 @@ def _check_integers(**counts) -> tuple:
 
 
 def _blocks(config: AntennaConfig, seed: int, n_samples: int):
-    """The channel triples of the first ``n_samples`` draws, block by block:
-    block ``i`` holds ``BLOCK_SIZE`` samples (fewer in a partial last block)
-    from the stream (seed, i).
+    """The raw parts (``_block_normals``) of the first ``n_samples`` channel
+    triples, block by block: block ``i`` holds ``BLOCK_SIZE`` samples (fewer
+    in a partial last block) from the stream (seed, i).
 
     Past one block, a worker draws block i+1 while the caller scores block i
-    (the Philox fill releases the GIL), so at most two blocks are alive.  The
-    worker draws block 0 too: a block drawn on the caller's thread kept a
-    block's worth of freed memory resident there.
+    (the Philox fill releases the GIL), so at most two blocks are alive if
+    the caller drops block i before it asks for block i+1: the draw of block
+    i+2 starts as block i+1 is handed over.  The worker runs the Philox fill
+    alone; the caller builds the links it reads (``_links``) one slice at a
+    time.  The worker draws block 0 too: a block drawn on the caller's thread
+    kept a block's worth of freed memory resident there.
     """
     sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
 
     def draw(index):
-        return _block_channels(config, channel_rng(seed, index), sizes[index])
+        return _block_normals(config, channel_rng(seed, index), sizes[index])
 
     if len(sizes) == 1:
         yield draw(0)
@@ -343,13 +368,15 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
             yield block
 
 
-def _direct_pass(links, rhos, thresholds):
-    """Pass 1 of the outage sweep over a block's samples-last links: the
-    indices of the samples whose direct link falls short of the threshold at
-    some SNR, and their ``l_sd`` rows (one per SNR)."""
+def _direct_pass(parts, rhos, thresholds):
+    """Pass 1 of the outage sweep over a block's raw parts: the indices of
+    the samples whose direct link falls short of the threshold at some SNR,
+    and their ``l_sd`` rows (one per SNR).  The direct link is built one
+    ``_CHUNK`` slice at a time; the hops are not read."""
+    direct = parts[0]
     undecided, l_sd = [], []
-    for start in range(0, links[0].shape[2], _CHUNK):
-        gram = _side_gram([[links[0][..., start : start + _CHUNK]]])
+    for start in range(0, len(direct[0]), _CHUNK):
+        gram = _side_gram([[_links(direct, slice(start, start + _CHUNK))]])
         rows = np.stack([_log2_det_eye_plus(rho, gram) for rho in rhos])
         short = np.flatnonzero((rows < thresholds[:, None]).any(axis=0))
         undecided.append(short + start)
@@ -357,13 +384,15 @@ def _direct_pass(links, rhos, thresholds):
     return np.concatenate(undecided), np.concatenate(l_sd, axis=1)
 
 
-def _relay_pass(links, undecided, l_sd, rhos, thresholds) -> np.ndarray:
+def _relay_pass(parts, undecided, l_sd, rhos, thresholds) -> np.ndarray:
     """Pass 2 of the outage sweep: the outage count at each SNR among the
-    samples pass 1 left undecided, gathered ``_CHUNK`` at a time."""
+    samples pass 1 left undecided.  Their three links are built ``_CHUNK``
+    samples at a time from a gather of their rows of the raw parts (each
+    sample's entries are contiguous there)."""
     counts = np.zeros(len(rhos), dtype=np.int64)
     for start in range(0, len(undecided), _CHUNK):
         picked = undecided[start : start + _CHUNK]
-        grams = _relay_grams(*(np.take(h, picked, axis=2) for h in links))
+        grams = _relay_grams(*(_links(p, picked) for p in parts))
         for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
             relay = (_log2_det_eye_plus(rho, g) for g in grams)
             _, rate = _switch_and_rate(l_sd[i, start : start + _CHUNK], *relay)
@@ -407,9 +436,9 @@ def outage_probabilities(
         raise DomainError(f"workers must be positive, got {workers}")
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     counts = np.zeros(len(rhos), dtype=np.int64)
-    for block in _blocks(config, seed, n_samples):
-        links = [h.transpose(1, 2, 0) for h in block]  # the samples-last storage
-        counts += _relay_pass(links, *_direct_pass(links, rhos, thresholds), rhos, thresholds)
+    for parts in _blocks(config, seed, n_samples):
+        counts += _relay_pass(parts, *_direct_pass(parts, rhos, thresholds), rhos, thresholds)
+        del parts  # before the next draw starts (see ``_blocks``)
     return [
         OutageEstimate(
             rho=rho,
@@ -512,9 +541,10 @@ def conditional_independence_check(
 
     # the largest eigenvalue of W1, W2 and W3 per sample, block by block
     tops = ([], [], [])
-    for block in _blocks(config, seed, n_samples):
-        for top, w in zip(tops, _composite_grams(rho, *block)):
+    for parts in _blocks(config, seed, n_samples):
+        for top, w in zip(tops, _composite_grams(rho, *_channels(parts))):
             top.append(np.linalg.eigvalsh(w)[:, -1])
+        del parts  # before the next draw starts (see ``_blocks``)
     lam, mu, gam = (np.concatenate(top) for top in tops)
 
     shuffle_rng = channel_rng(seed, 2**32)

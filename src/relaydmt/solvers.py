@@ -243,7 +243,7 @@ def _solve_grid(block, config: AntennaConfig, r_grid):
     """Columns d, a, b, s, evaluations of ``block`` over the grid, solved in
     passes of as many r as fit ``_PASS_CELLS`` candidate cells; every r
     passes ``_check_r`` first."""
-    r = np.array([_check_r(x, float(config.max_mux)) for x in r_grid], dtype=float)
+    r = np.array([_check_r(x, config.max_mux) for x in r_grid], dtype=float)
     step = max(1, _PASS_CELLS // _CELLS_PER_R[block](config))
     parts = [block(config, r[i:i + step]) for i in range(0, len(r), step)]
     return [np.concatenate(column) for column in zip(*parts)]
@@ -319,7 +319,7 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
         )
     if not 0.0 < step <= 0.25:
         raise DomainError(f"step {step} outside (0, 0.25]")
-    r = _check_r(r, float(config.max_mux))
+    r = _check_r(r, config.max_mux)
 
     n_levels = max(1, round(1.0 / step))
     values = np.linspace(0.0, 1.0, n_levels + 1)

@@ -155,7 +155,7 @@ def test_curve_bad_r_mid_grid_exits_2(capsys):
     assert code == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: r=1.5 outside [0, 1.0]" in captured.err
+    assert "error: r=1.5 outside [0, 1]" in captured.err
 
 
 def test_main_calls_in_one_process_parse_their_own_argv(capsys):

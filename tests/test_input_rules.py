@@ -15,6 +15,7 @@ from relaydmt import (
     AntennaConfig,
     ConfigurationError,
     DomainError,
+    VARIANTS,
     channel_rng,
     conditional_independence_check,
     cutset_terms,
@@ -224,3 +225,22 @@ def test_bool_r_is_a_domain_error_naming_r(entry, bad):
 def test_numeric_r_types_are_accepted(entry):
     call = R_ENTRY_POINTS[entry]
     assert call(np.float64(1.0)) == call(1) == call(1.0)
+
+
+def _defined_on(config, variant) -> bool:
+    try:
+        dmt_curve(config, variant, [0.0])
+    except ConfigurationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_words_the_r_range_alike(variant):
+    # hd-dynamic and hd-static used to say [0, 2.0] where the rest say [0, 2];
+    # (2, 2, 2) where the variant is defined, else its (n, 1, n) or (1, k, 1) form
+    forms = (TWO, AntennaConfig(2, 1, 2), AntennaConfig(1, 2, 1))
+    c = next(c for c in forms if _defined_on(c, variant))
+    message = f"r=3.0 outside [0, {c.max_mux}]"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        dmt_curve(c, variant, [3.0])

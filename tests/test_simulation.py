@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,12 +26,16 @@ from relaydmt.simulate import (
     outage_probability,
     rate_upper,
     sample_channel,
+    _CHUNK,
     _block_channels,
+    _block_normals,
     _blocks,
+    _channels,
     _composite_grams,
     _cut_log2dets,
     _direct_pass,
     _eigen_exponent_rows,
+    _links,
     _switch_and_rate,
 )
 
@@ -69,6 +74,48 @@ def test_sample_channel_unit_second_moment():
     block = _block_channels(c, channel_rng(9), 100_000)
     moments = [np.mean(np.abs(h) ** 2) for h in block]
     assert np.allclose(moments, 1.0, rtol=0.02)
+
+
+@pytest.mark.parametrize("mkn", [(2, 2, 2), (2, 1, 3)])
+def test_block_normals_are_the_pinned_draws(mkn):
+    # one standard_normal call per array, in the contract's order: direct,
+    # in-hop, out-hop, real before imaginary
+    m, k, n = mkn
+    rng = channel_rng(3, 1)
+    shapes = [(1000, rows, cols) for rows, cols in ((n, m), (k, m), (n, k)) for _ in range(2)]
+    serial = [rng.standard_normal(shape) for shape in shapes]
+    block = _block_normals(AntennaConfig(*mkn), channel_rng(3, 1), 1000)
+    parts = [p for link in block for p in link]
+    assert [p.dtype for p in parts] == [np.float64] * 6
+    assert [p.shape for p in parts] == shapes
+    assert [p.tobytes() for p in parts] == [h.tobytes() for h in serial]
+
+
+def test_block_channels_are_samples_first_views_of_samples_last_links():
+    c = AntennaConfig(2, 1, 3)
+    count = 1000
+    block = _channels(_block_normals(c, channel_rng(5), count))
+    assert [h.shape for h in block] == [(count, 3, 2), (count, 1, 2), (count, 3, 1)]
+    for h in block:
+        assert h.dtype == complex
+        assert h.strides == (16, h.shape[2] * count * 16, count * 16)
+        assert h.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_links_equal_the_picked_rows_of_the_block():
+    # a whole slice, a partial last slice and a sorted index array, built
+    # from the raw parts: byte for byte the block's rows
+    c = AntennaConfig(2, 1, 3)
+    count = 2 * _CHUNK + 777
+    parts = _block_normals(c, channel_rng(7), count)
+    block = _block_channels(c, channel_rng(7), count)
+    index = np.sort(np.random.default_rng(0).choice(count, 1500, replace=False))
+    for picked in (slice(_CHUNK, 2 * _CHUNK), slice(2 * _CHUNK, 3 * _CHUNK), index):
+        for link, h in zip(parts, block):
+            got = _links(link, picked)
+            rows = h[picked]
+            assert got.shape == (*h.shape[1:], len(rows)) and got.flags.c_contiguous
+            assert got.transpose(2, 0, 1).tobytes() == rows.tobytes()
 
 
 def test_distinct_streams_differ():
@@ -399,7 +446,7 @@ def _unpruned_counts(c, rhos, r, n, seed):
     counts = [0] * len(rhos)
     for block in simulate._blocks(c, seed, n):
         for i, rho in enumerate(rhos):
-            _, rate = _switch_and_rate(*_cut_log2dets(rho, *block))
+            _, rate = _switch_and_rate(*_cut_log2dets(rho, *_channels(block)))
             counts[i] += int((rate < r * math.log2(rho)).sum())
     return counts
 
@@ -408,8 +455,7 @@ def _undecided_share(c, rhos, r, n, seed):
     """Share of the samples whose direct link falls short at some SNR."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     undecided = [
-        _direct_pass([h.transpose(1, 2, 0) for h in block], rhos, thresholds)[0]
-        for block in simulate._blocks(c, seed, n)
+        _direct_pass(block, rhos, thresholds)[0] for block in simulate._blocks(c, seed, n)
     ]
     return sum(map(len, undecided)) / n
 
@@ -447,14 +493,56 @@ def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeyp
     walk = _blocks
 
     def faded(config, seed, n_samples):
-        for h_sd, h_sr, h_rd in walk(config, seed, n_samples):
-            yield h_sd * 0.01, h_sr, h_rd
+        for direct, in_hop, out_hop in walk(config, seed, n_samples):
+            yield tuple(part * 0.01 for part in direct), in_hop, out_hop
 
     monkeypatch.setattr(simulate, "_blocks", faded)
     events = [e.events for e in outage_probabilities(c, rhos, r, n, seed)]
     assert events == _unpruned_counts(c, rhos, r, n, seed)
     assert _undecided_share(c, rhos, r, n, seed) > 0.99
     assert 0 < min(events) and max(events) < n
+
+
+@pytest.mark.parametrize("case, bound", [("outage-222", 2.25), ("outage-333", 2.3)])
+def test_sweep_keeps_about_two_blocks_in_memory(monkeypatch, case, bound):
+    # two blocks of raw parts (the one scored, the one drawn) and slices
+    # beside them; a block-sized link built on the caller would exceed it.
+    # Each block is scored only once the next is drawn, so the caller's
+    # slices always meet two whole blocks: the worst case of the overlap.
+    mkn, r, snr_db, _ = PRUNE_CASES[case]
+    c = AntennaConfig(*mkn)
+    rhos = [10.0 ** (db / 10.0) for db in snr_db]
+    blocks = 4
+    block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
+    outage_probabilities(c, rhos, r, 1000, seed=1)  # lazy imports stay out of the trace
+    draw, direct_pass = simulate._block_normals, simulate._direct_pass
+    drawn, scored = [], []
+    ready = threading.Condition()
+
+    def counted_draw(*args):
+        parts = draw(*args)
+        with ready:
+            drawn.append(1)
+            ready.notify_all()
+        return parts
+
+    def waiting_pass(*args):
+        scored.append(1)
+        with ready:
+            next_drawn = ready.wait_for(lambda: len(drawn) >= min(len(scored) + 1, blocks), 60.0)
+        assert next_drawn
+        return direct_pass(*args)
+
+    monkeypatch.setattr(simulate, "_block_normals", counted_draw)
+    monkeypatch.setattr(simulate, "_direct_pass", waiting_pass)
+    tracemalloc.start()
+    try:
+        outage_probabilities(c, rhos, r, blocks * BLOCK_SIZE, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(drawn) == len(scored) == blocks
+    assert peak <= bound * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +576,11 @@ def test_blocks_prefetch_yields_the_serial_draws():
     got = _bounded(lambda: list(_blocks(c, 23, sum(sizes))))
     assert len(got) == len(sizes)
     for i, (size, block) in enumerate(zip(sizes, got)):
-        serial = _block_channels(c, channel_rng(23, i), size)
-        assert [h.shape for h in block] == [h.shape for h in serial]
-        assert [h.strides for h in block] == [h.strides for h in serial]
-        assert [h.tobytes() for h in block] == [h.tobytes() for h in serial]
+        drawn = [part for link in block for part in link]
+        serial = [part for link in _block_normals(c, channel_rng(23, i), size) for part in link]
+        assert [h.shape for h in drawn] == [h.shape for h in serial]
+        assert [h.strides for h in drawn] == [h.strides for h in serial]
+        assert [h.tobytes() for h in drawn] == [h.tobytes() for h in serial]
 
 
 def test_blocks_concurrent_walks_under_fast_switching():
@@ -502,7 +591,8 @@ def test_blocks_concurrent_walks_under_fast_switching():
     results = {}
 
     def walk(seed):
-        results[seed] = [h.tobytes() for block in _blocks(c, seed, n) for h in block]
+        walked = _blocks(c, seed, n)
+        results[seed] = [p.tobytes() for block in walked for link in block for p in link]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -517,8 +607,8 @@ def test_blocks_concurrent_walks_under_fast_switching():
     assert not any(walker.is_alive() for walker in walkers)
     for seed in range(4):
         sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
-        serial = [_block_channels(c, channel_rng(seed, i), size) for i, size in enumerate(sizes)]
-        assert results[seed] == [h.tobytes() for block in serial for h in block]
+        serial = [_block_normals(c, channel_rng(seed, i), size) for i, size in enumerate(sizes)]
+        assert results[seed] == [p.tobytes() for block in serial for link in block for p in link]
 
 
 def test_blocks_leaves_no_thread_behind():
@@ -558,6 +648,41 @@ class _Block:
     """A stand-in block that a weak reference can follow."""
 
 
+def _sweep(n):
+    outage_probabilities(AntennaConfig(1, 1, 1), (100.0,), 0.5, n, seed=1)
+
+
+def _independence(n):
+    conditional_independence_check(AntennaConfig(1, 1, 1), 100.0, n, 5, seed=1)
+
+
+@pytest.mark.parametrize("consume", [_sweep, _independence])
+def test_walk_readers_drop_their_block_before_the_next_draw(monkeypatch, consume):
+    # the draw of block i+2 starts as block i+1 is handed over; a reader
+    # still holding block i then keeps three blocks alive.  The slow submit
+    # lets the draw start before the walk's yield reaches the reader.
+    drawn = []  # a weak reference to one array of each block
+    held_at_draw = []
+    draw = simulate._block_normals
+
+    def tracked_draw(*args):
+        held_at_draw.append(sum(ref() is not None for ref in drawn))
+        parts = draw(*args)
+        drawn.append(weakref.ref(parts[0][0]))
+        return parts
+
+    class SlowSubmit(simulate.ThreadPoolExecutor):
+        def submit(self, *args):
+            future = super().submit(*args)
+            time.sleep(0.05)
+            return future
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SlowSubmit)
+    monkeypatch.setattr(simulate, "_block_normals", tracked_draw)
+    _bounded(lambda: consume(4 * BLOCK_SIZE))
+    assert len(held_at_draw) == 4 and max(held_at_draw) <= 1
+
+
 def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
     alive = weakref.WeakSet()
     held_at_draw = []
@@ -575,7 +700,7 @@ def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
             time.sleep(0.01)  # the scoring, with the GIL released
         return threading.get_ident()
 
-    monkeypatch.setattr(simulate, "_block_channels", fake_draw)
+    monkeypatch.setattr(simulate, "_block_normals", fake_draw)
     caller = _bounded(walk)
     assert len(held_at_draw) == 6 and max(held_at_draw) <= 1
     # every block, the first included, is allocated on the one prefetch thread
@@ -598,7 +723,7 @@ def test_blocks_drops_its_reference_before_it_waits(monkeypatch):
         next(blocks)  # block 0, dropped at once by the caller
         next(blocks)
 
-    monkeypatch.setattr(simulate, "_block_channels", slow_draw)
+    monkeypatch.setattr(simulate, "_block_normals", slow_draw)
     _bounded(walk)
     assert held_after_draw[:2] == [0, 0]
 
@@ -613,7 +738,7 @@ def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
         drawn.append(count)
         if len(drawn) == failing + 1:
             raise error
-        return _block_channels(config, rng, count)
+        return _block_normals(config, rng, count)
 
     def walk():
         baseline = threading.active_count()
@@ -622,7 +747,7 @@ def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
                 pass
         return raised.value, threading.active_count() - baseline
 
-    monkeypatch.setattr(simulate, "_block_channels", failing_draw)
+    monkeypatch.setattr(simulate, "_block_normals", failing_draw)
     raised, extra_threads = _bounded(walk)
     # the same error object, no thread left behind, no block drawn after it
     assert raised is error and extra_threads == 0 and len(drawn) == failing + 1
