@@ -2,10 +2,11 @@
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation as
 the minimum over ``--repeats`` runs: the raw Philox draw (the draw thread's
-whole work), the link build (scaling the raw normals and laying them out
-samples-last, on the caller), the Gram build, the log-det and the rate
-combine, then the whole block as the outage estimator runs it at one SNR,
-for the configurations (1,1,1) .. (4,4,4).  It times a
+whole work), the link build (``_links``: scaling the raw normals and laying
+them out samples-last, on the caller), the three cut Grams (the direct
+``_side_gram`` and ``_relay_grams``, the calls of ``_cut_log2dets``), the
+log-det and the rate combine, then the whole block as the outage estimator
+runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
 ``outage_probabilities`` call) against 5 single-point calls, and one scalar
 ``cutset_terms`` call (a batch of one).  For the two outage workloads of the
@@ -68,12 +69,18 @@ def measure(repeats: int) -> dict:
     for mkn in CONFIGS:
         config = AntennaConfig(*mkn)
         parts = sim._block_normals(config, sim.channel_rng(1), count)
-        channels = sim._channels(parts)
+
+        def links():
+            return [sim._links(p, slice(None)) for p in parts]
+
+        def cut_grams(sd, sr, rd):
+            return (sim._side_gram([[sd]]), *sim._relay_grams(sd, sr, rd))
 
         def logdet(grams):
             return [sim._log2_det_eye_plus(RHO, g) for g in grams]
 
-        grams = sim._cut_grams(*channels)
+        block_links = links()
+        grams = cut_grams(*block_links)
         logs = logdet(grams)
         sample = sim.sample_channel(config, sim.channel_rng(2))
         r = 0.5 * config.max_mux
@@ -87,8 +94,8 @@ def measure(repeats: int) -> dict:
             "draw_ms": 1e3 * _best(
                 lambda: sim._block_normals(config, sim.channel_rng(1), count), repeats
             ),
-            "links_ms": 1e3 * _best(lambda: sim._channels(parts), repeats),
-            "gram_ms": 1e3 * _best(lambda: sim._cut_grams(*channels), repeats),
+            "links_ms": 1e3 * _best(links, repeats),
+            "gram_ms": 1e3 * _best(lambda: cut_grams(*block_links), repeats),
             "logdet_ms": 1e3 * _best(lambda: logdet(grams), repeats),
             "combine_ms": 1e3 * _best(lambda: sim._switch_and_rate(*logs), repeats),
             "block_ms": 1e3 * block_s,
@@ -221,7 +228,9 @@ def main(argv=None) -> int:
             "the link build inside them (direct link per slice, undecided samples' links per "
             "gather), and undecided_per_snr / undecided_any_snr give the share of samples "
             "whose direct link falls short of r log2(rho) at each SNR / at any; per block, "
-            "draw_ms is the raw draw and links_ms lays the whole block out"
+            "draw_ms is the raw draw, links_ms lays the whole block's three links out "
+            "samples-last (_links) and gram_ms builds the three cut Grams from them "
+            "(_side_gram of the direct link, _relay_grams of the two relay cuts)"
         ),
         "host": {
             "cpus": os.cpu_count(),

@@ -8,14 +8,13 @@ Reproducibility contract: the sample index space is partitioned into fixed
 blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
-estimated alone or within a sweep.  ``_blocks`` owns this layout: the outage
-sweep and the eigenvalue statistics both walk the samples through it, one
-block drawn ahead on a thread; each block keeps its stream, so no count moves.
-That thread runs the Philox fill alone and hands over raw normals.  The
-caller scales them and lays them out samples-last (``_links``): the outage
-sweep builds the direct link one slice at a time and the hops of the samples
-its direct link leaves undecided only; other readers take whole triples
-(``_channels``).
+estimated alone or within a sweep.  ``_blocks`` owns this layout and the walk
+over it (a thread draws ahead; each block keeps its stream, so no count
+moves): the outage sweep and the eigenvalue statistics both walk the samples
+through it.  It hands over raw normals, which the reader scales and lays out
+samples-last (``_links``): the outage sweep builds the direct link one slice
+at a time and the hops of the samples its direct link leaves undecided only;
+other readers take whole triples (``_channels``).
 """
 
 from __future__ import annotations
@@ -206,16 +205,12 @@ def _relay_grams(sd, sr, rd):
     return _side_gram([[sd, rd]]), _side_gram([[sr], [sd]])
 
 
-def _cut_grams(h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
-    """The SNR-free Grams of the three cuts for a stack of channel triples:
-    the direct link, then the two relay cuts, each on its smaller side."""
-    sd, sr, rd = (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd))
-    return (_side_gram([[sd]]), *_relay_grams(sd, sr, rd))
-
-
 def _cut_log2dets(rho: float, h_sd: np.ndarray, h_sr: np.ndarray, h_rd: np.ndarray):
-    """The three cut log determinants for a stack of channel triples."""
-    return tuple(_log2_det_eye_plus(rho, gram) for gram in _cut_grams(h_sd, h_sr, h_rd))
+    """The three cut log determinants for a stack of channel triples: the
+    direct link, then the two relay cuts, each Gram on its smaller side."""
+    sd, sr, rd = (h.transpose(1, 2, 0) for h in (h_sd, h_sr, h_rd))
+    grams = (_side_gram([[sd]]), *_relay_grams(sd, sr, rd))
+    return tuple(_log2_det_eye_plus(rho, gram) for gram in grams)
 
 
 def _switch_and_rate(l_sd, l_srd, l_s_rd):
@@ -342,22 +337,20 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     triples, block by block: block ``i`` holds ``BLOCK_SIZE`` samples (fewer
     in a partial last block) from the stream (seed, i).
 
-    Past one block, a worker draws block i+1 while the caller scores block i
-    (the Philox fill releases the GIL), so at most two blocks are alive if
-    the caller drops block i before it asks for block i+1: the draw of block
-    i+2 starts as block i+1 is handed over.  The worker runs the Philox fill
-    alone; the caller builds the links it reads (``_links``) one slice at a
-    time.  The worker draws block 0 too: a block drawn on the caller's thread
-    kept a block's worth of freed memory resident there.
+    One worker thread draws every block, block 0 and a one-block walk
+    included: while the caller scores block i it draws block i+1 (the Philox
+    fill releases the GIL), and a block drawn on the caller's thread would
+    keep a block's worth of freed memory resident there.  At most two blocks
+    are alive if the caller drops block i before it asks for block i+1: the
+    draw of block i+2 starts as block i+1 is handed over.  The worker runs
+    the Philox fill alone; the caller builds the links it reads (``_links``)
+    one slice at a time.
     """
     sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
 
     def draw(index):
         return _block_normals(config, channel_rng(seed, index), sizes[index])
 
-    if len(sizes) == 1:
-        yield draw(0)
-        return
     with ThreadPoolExecutor(max_workers=1) as pool:
         ahead = pool.submit(draw, 0)
         for index in range(len(sizes)):
@@ -536,7 +529,7 @@ def conditional_independence_check(
         raise DomainError(f"need at least 1 bin, got {n_bins}")
     note = ""
     if n_samples < 50 * n_bins:
-        n_bins = max(2, n_samples // 50)
+        n_bins = n_samples // 50
         note = f"reduced to {n_bins} bins to keep bins populated"
 
     # the largest eigenvalue of W1, W2 and W3 per sample, block by block

@@ -44,6 +44,9 @@ _LISTEN = 0.5
 # candidate cells (r x candidates per r) one engine pass holds: it caps the
 # pass's temporaries; 2**15 measured no faster, with a higher peak RSS
 _PASS_CELLS = 2**14
+# grid-oracle cells (alpha x beta x delta vectors) it scores at most: the count
+# at step 0.05 on (2,2,2), the largest that step gives under u+p+q <= 6
+_GRID_CELLS = 231**3
 
 
 class SolverRefusal(RuntimeError):
@@ -321,7 +324,13 @@ def solve_general_grid(config: AntennaConfig, r: float, step: float = 0.05) -> S
         raise DomainError(f"step {step} outside (0, 0.25]")
     r = _check_r(r, config.max_mux)
 
-    n_levels = max(1, round(1.0 / step))
+    # clamped where the cap refuses anyway, so that a subnormal step's
+    # 1/step = inf still counts its cells
+    n_levels = max(1, round(min(1.0 / step, _GRID_CELLS)))
+    # ordered vectors of a given length over n_levels + 1 grid values
+    cells = math.prod(math.comb(n_levels + length, length) for length in (u, p, q))
+    if cells > _GRID_CELLS:
+        raise SolverRefusal(f"grid oracle refuses {cells} cells > {_GRID_CELLS} at step {step}")
     values = np.linspace(0.0, 1.0, n_levels + 1)
 
     def combos(length):

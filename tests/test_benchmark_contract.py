@@ -3,8 +3,11 @@
 ``perfbench/tracing.py`` replaces relaydmt functions by name and times each
 ``verify`` check under a key derived from its function name; a renamed or
 deleted name makes the traced benchmark run raise or report other keys.
+The stage harness ``bench/simulator_stages.py`` likewise reads private names
+of ``relaydmt.simulate``, and a renamed one makes it raise.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -46,3 +49,16 @@ def test_tracer_installs_and_times_every_declared_check():
         )
     assert result["rc"] == 0
     assert result["keys"] == declared
+
+
+def test_stage_harness_reads_only_names_the_simulator_has():
+    with open(os.path.join(ROOT, "bench", "simulator_stages.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "sim"
+    }
+    assert {"_block_normals", "_blocks", "outage_probabilities"} <= read
+    assert sorted(name for name in read if not hasattr(relaydmt.simulate, name)) == []

@@ -441,23 +441,27 @@ def test_outage_sweep_equals_pointwise_calls(mkn):
         assert isinstance(e.events, int) and e.events > 0 and e.events / n == e.p_out
 
 
-def _unpruned_counts(c, rhos, r, n, seed):
-    """Outage counts from every sample's three cuts, on whole blocks."""
-    counts = [0] * len(rhos)
-    for block in simulate._blocks(c, seed, n):
-        for i, rho in enumerate(rhos):
-            _, rate = _switch_and_rate(*_cut_log2dets(rho, *_channels(block)))
-            counts[i] += int((rate < r * math.log2(rho)).sum())
-    return counts
-
-
-def _undecided_share(c, rhos, r, n, seed):
-    """Share of the samples whose direct link falls short at some SNR."""
+def _unpruned_recount(c, rhos, r, n, seed):
+    """Outage counts from every sample's three cuts, on whole blocks, and the
+    share of the samples pass 1 leaves undecided.  On each block pass 1 is
+    held to the same cuts: its ``l_sd`` rows are the unpruned ones of the
+    samples it keeps, byte for byte, and every sample it decides clears the
+    threshold at every SNR."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
-    undecided = [
-        _direct_pass(block, rhos, thresholds)[0] for block in simulate._blocks(c, seed, n)
-    ]
-    return sum(map(len, undecided)) / n
+    counts, undecided_total = [0] * len(rhos), 0
+    for block in simulate._blocks(c, seed, n):
+        undecided, l_sd = _direct_pass(block, rhos, thresholds)
+        decided = np.ones(len(block[0][0]), dtype=bool)
+        decided[undecided] = False
+        undecided_total += len(undecided)
+        channels = _channels(block)
+        for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
+            cuts = _cut_log2dets(rho, *channels)
+            _, rate = _switch_and_rate(*cuts)
+            assert l_sd[i].tobytes() == cuts[0][undecided].tobytes()
+            assert (cuts[0][decided] >= threshold).all() and (rate[decided] >= threshold).all()
+            counts[i] += int((rate < threshold).sum())
+    return counts, undecided_total / n
 
 
 # (m, k, n), r, SNR grid in dB, bounds on the share pass 1 leaves undecided
@@ -480,8 +484,9 @@ def test_pruned_counts_equal_the_unpruned_recount(case):
     rhos = [10.0 ** (db / 10.0) for db in snr_db]
     n = BLOCK_SIZE + 1234
     events = [e.events for e in outage_probabilities(c, rhos, r, n, seed=13)]
-    assert events == _unpruned_counts(c, rhos, r, n, seed=13)
-    assert low <= _undecided_share(c, rhos, r, n, seed=13) <= high
+    counts, undecided_share = _unpruned_recount(c, rhos, r, n, seed=13)
+    assert events == counts
+    assert low <= undecided_share <= high
 
 
 def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeypatch):
@@ -498,8 +503,9 @@ def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeyp
 
     monkeypatch.setattr(simulate, "_blocks", faded)
     events = [e.events for e in outage_probabilities(c, rhos, r, n, seed)]
-    assert events == _unpruned_counts(c, rhos, r, n, seed)
-    assert _undecided_share(c, rhos, r, n, seed) > 0.99
+    counts, undecided_share = _unpruned_recount(c, rhos, r, n, seed)
+    assert events == counts
+    assert undecided_share > 0.99
     assert 0 < min(events) and max(events) < n
 
 
@@ -633,7 +639,7 @@ def test_blocks_leaves_no_thread_behind():
 
     def single_block(baseline):
         for _ in _blocks(c, 3, BLOCK_SIZE):
-            assert threading.active_count() == baseline
+            assert threading.active_count() == baseline + 1  # drawn on the worker too
 
     def extra_threads_after(walk):
         baseline = threading.active_count()
@@ -839,7 +845,7 @@ def test_independence_report_reduces_overfine_binning():
     rep = conditional_independence_check(
         AntennaConfig(1, 1, 1), 100.0, 1000, 400, seed=1
     )
-    assert rep.n_bins <= 20
+    assert rep.n_bins == 20
     assert rep.note != ""
 
 

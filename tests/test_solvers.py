@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -248,6 +249,25 @@ def test_grid_oracle_refuses_large_instances():
         solve_general_grid(AntennaConfig(3, 3, 3), 0.5)
     with pytest.raises(DomainError):
         solve_general_grid(AntennaConfig(1, 1, 1), 0.5, step=0.5)
+    # the cell cap is the count step 0.05 gives on (2,2,2), and that count runs
+    c = AntennaConfig(2, 2, 2)
+    assert solve_general_grid(c, 1.0, 0.05).d == pytest.approx(solve_two_var(c, 1.0).d, abs=0.15)
+
+
+@pytest.mark.parametrize(
+    "mkn, step", [((2, 2, 2), 0.04), ((1, 1, 1), 1e-4), ((1, 1, 1), 5e-324)]
+)
+def test_grid_oracle_refuses_a_fine_step_before_it_allocates(mkn, step):
+    # 351**3, 10001**3 and unboundedly many cells against the 231**3 that
+    # step 0.05 gives on (2,2,2); 1 / 5e-324 is inf
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverRefusal, match="cells"):
+            solve_general_grid(AntennaConfig(*mkn), 0.5, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
