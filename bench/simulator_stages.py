@@ -1,28 +1,31 @@
 """Stage-by-stage timing of the outage simulator.
 
-Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation as
-the minimum over ``--repeats`` runs: the raw Philox draw (the draw thread's
-whole work), the link build (``_links``: scaling the raw normals and laying
-them out samples-last, on the caller), the three cut Grams (the direct
-``_side_gram`` and ``_relay_grams``, the calls of ``_cut_log2dets``), the
-log-det and the rate combine, then the whole block as the outage estimator
-runs it at one SNR, for the configurations (1,1,1) .. (4,4,4).  It times a
+Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation:
+the raw Philox draw (the draw thread's whole work), the link build
+(``_links``: scaling the raw normals and laying them out samples-last, on
+the caller), the three cut Grams (the direct ``_side_gram`` and
+``_relay_grams``, the calls of ``_cut_log2dets``), the log-det and the rate
+combine, then the whole block as the outage estimator runs it at one SNR,
+for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
-``outage_probabilities`` call) against 5 single-point calls, and one scalar
-``cutset_terms`` call (a batch of one).  For the two outage workloads of the
-benchmark it splits a 4-block (262,144-sample), 5-SNR sweep into the serial
-raw draw of its blocks and the serial scoring of the drawn blocks, beside the
-wall time of the ``outage_probabilities`` call, which overlaps the two.
-It also times each scoring pass alone: pass 1 builds the direct link and cut
-of every sample, pass 2 the links and relay cuts of the samples whose direct
-link falls short of the threshold (their share is reported per SNR); and the
-link build of the two passes alone.
+``outage_probabilities`` call) and one scalar ``cutset_terms`` call (a batch
+of one).  For the two outage workloads of the benchmark it splits a 4-block
+(262,144-sample), 5-SNR sweep into the serial raw draw of its blocks and each
+scoring pass alone on the drawn blocks, beside the wall time of the
+``outage_probabilities`` call, which overlaps drawing and scoring: pass 1
+builds the direct link and cut of every sample, pass 2 the links and relay
+cuts of the samples whose direct link falls short of the threshold (their
+share is reported per SNR); and the link build of the two passes alone.
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
-        --label change --label parent --out BENCH_<pr>.json
+        --label change --label parent --repeats 5 --out BENCH_<pr>.json
 
-Each source tree is timed in a fresh interpreter that imports ``relaydmt``
-from that tree, so two versions of the package never share a process.  A
+``--repeats R`` runs R rounds.  A round times every tree once, each in a
+fresh interpreter that imports ``relaydmt`` from that tree (so two versions
+of the package never share a process), and every other round takes the trees
+in reverse order, so a host that drifts between speed states weighs on every
+tree alike.  A process times each stage once; the report keeps each stage's
+minimum over the rounds and checks that the work counts agree across them.  A
 tree from before the raw-draw split (no ``simulate._block_normals``) is timed
 with that commit's copy of this script.
 """
@@ -49,17 +52,14 @@ WORKLOAD_SWEEPS = {(2, 2, 2): (1.5, (15, 20, 25, 30, 35)), (3, 3, 3): (2.9, (20,
 SWEEP_BLOCKS = 4
 
 
-def _best(fn, repeats: int) -> float:
-    """Minimum wall time of ``fn()`` over ``repeats`` runs, in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time(fn) -> float:
+    """Wall time of one ``fn()`` call, in seconds."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     """Stage times of the ``relaydmt`` on ``sys.path``, in milliseconds."""
     from relaydmt import AntennaConfig
     from relaydmt import simulate as sim
@@ -84,38 +84,29 @@ def measure(repeats: int) -> dict:
         logs = logdet(grams)
         sample = sim.sample_channel(config, sim.channel_rng(2))
         r = 0.5 * config.max_mux
-        block_s = _best(lambda: sim.outage_probability(config, RHO, r, count, 1), repeats)
-
-        def points():
-            return [sim.outage_probability(config, rho, r, count, 1) for rho in SWEEP]
-
+        block_s = _time(lambda: sim.outage_probability(config, RHO, r, count, 1))
         result["%d,%d,%d" % mkn] = {
             "samples": count,
-            "draw_ms": 1e3 * _best(
-                lambda: sim._block_normals(config, sim.channel_rng(1), count), repeats
-            ),
-            "links_ms": 1e3 * _best(links, repeats),
-            "gram_ms": 1e3 * _best(lambda: cut_grams(*block_links), repeats),
-            "logdet_ms": 1e3 * _best(lambda: logdet(grams), repeats),
-            "combine_ms": 1e3 * _best(lambda: sim._switch_and_rate(*logs), repeats),
+            "draw_ms": 1e3 * _time(lambda: sim._block_normals(config, sim.channel_rng(1), count)),
+            "links_ms": 1e3 * _time(links),
+            "gram_ms": 1e3 * _time(lambda: cut_grams(*block_links)),
+            "logdet_ms": 1e3 * _time(lambda: logdet(grams)),
+            "combine_ms": 1e3 * _time(lambda: sim._switch_and_rate(*logs)),
             "block_ms": 1e3 * block_s,
             "samples_per_s": count / block_s,
-            "sweep_ms": 1e3 * _best(
-                lambda: sim.outage_probabilities(config, SWEEP, r, count, 1), repeats
-            ),
-            "points_ms": 1e3 * _best(points, repeats),
-            "scalar_cutset_terms_us": 1e6 / SCALAR_CALLS * _best(
-                lambda: [sim.cutset_terms(sample, RHO) for _ in range(SCALAR_CALLS)], repeats
+            "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, SWEEP, r, count, 1)),
+            "scalar_cutset_terms_us": 1e6 / SCALAR_CALLS * _time(
+                lambda: [sim.cutset_terms(sample, RHO) for _ in range(SCALAR_CALLS)]
             ),
         }
     return result
 
 
-def measure_sweeps(repeats: int) -> dict:
+def measure_sweeps() -> dict:
     """The workload sweeps of the ``relaydmt`` on ``sys.path``, in
-    milliseconds: the serial raw draw of the blocks, their serial scoring
-    (the estimator fed blocks drawn beforehand) and the estimator's own wall
-    time."""
+    milliseconds: the serial raw draw of the blocks, the scoring passes on
+    the drawn blocks (see :func:`_measure_passes`) and the estimator's own
+    wall time."""
     from relaydmt import AntennaConfig
     from relaydmt import simulate as sim
 
@@ -132,27 +123,18 @@ def measure_sweeps(repeats: int) -> dict:
             for index in range(SWEEP_BLOCKS):
                 draw(index)
 
-        drawn = [draw(index) for index in range(SWEEP_BLOCKS)]
-        walk = sim._blocks
-        sim._blocks = lambda config, seed, n_samples: iter(drawn)
-        try:
-            score_s = _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats)
-        finally:
-            sim._blocks = walk
-        passes = _measure_passes(sim, drawn, rhos, r, repeats)
-        del drawn
+        passes = _measure_passes(sim, [draw(index) for index in range(SWEEP_BLOCKS)], rhos, r)
         result["%d,%d,%d" % mkn] = {
             "samples": count,
             "snr_points": len(rhos),
-            "draw_ms": 1e3 * _best(draws, repeats),
-            "score_ms": 1e3 * score_s,
-            "sweep_ms": 1e3 * _best(lambda: sim.outage_probabilities(config, rhos, r, count, 1), repeats),
+            "draw_ms": 1e3 * _time(draws),
+            "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, rhos, r, count, 1)),
             **passes,
         }
     return result
 
 
-def _measure_passes(sim, drawn, rhos, r, repeats: int) -> dict:
+def _measure_passes(sim, drawn, rhos, r) -> dict:
     """The two scoring passes of the outage sweep over blocks drawn
     beforehand, each timed alone: pass 1 (the direct link and cut at every
     SNR) and pass 2 (the links and relay cuts of the samples pass 1 leaves
@@ -175,19 +157,38 @@ def _measure_passes(sim, drawn, rhos, r, repeats: int) -> dict:
                     sim._links(link, picked)
 
     return {
-        "pass1_ms": 1e3 * _best(
-            lambda: [sim._direct_pass(parts, rhos, thresholds) for parts in drawn], repeats
+        "pass1_ms": 1e3 * _time(
+            lambda: [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
         ),
-        "pass2_ms": 1e3 * _best(
+        "pass2_ms": 1e3 * _time(
             lambda: [
                 sim._relay_pass(parts, *d, rhos, thresholds) for parts, d in zip(drawn, decided)
-            ],
-            repeats,
+            ]
         ),
-        "links_ms": 1e3 * _best(links, repeats),
+        "links_ms": 1e3 * _time(links),
         "undecided_per_snr": (short / count).tolist(),
         "undecided_any_snr": sum(len(undecided) for undecided, _ in decided) / count,
     }
+
+
+def _merge(rounds: list) -> dict:
+    """One tree's rounds as one report: the least of every time (``_ms``,
+    ``_us``) and the greatest of every rate (``_per_s``) over the rounds;
+    every other field, a work count or share, must be the same in each."""
+    merged = {}
+    for key, first in rounds[0].items():
+        values = [run[key] for run in rounds]
+        if isinstance(first, dict):
+            merged[key] = _merge(values)
+        elif key.endswith(("_ms", "_us")):
+            merged[key] = min(values)
+        elif key.endswith("_per_s"):
+            merged[key] = max(values)
+        elif any(value != first for value in values):
+            raise RuntimeError(f"{key} differs across rounds: {values}")
+        else:
+            merged[key] = first
+    return merged
 
 
 def main(argv=None) -> int:
@@ -201,29 +202,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.measure:
         sys.path.insert(0, os.path.abspath(args.src[0]))
-        print(json.dumps({"blocks": measure(args.repeats), "sweeps": measure_sweeps(args.repeats)}))
+        print(json.dumps({"blocks": measure(), "sweeps": measure_sweeps()}))
         return 0
     labels = args.label or args.src
     if len(labels) != len(args.src):
         parser.error("give one --label per --src")
-    trees = {}
-    for label, src in zip(labels, args.src):
-        run = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--measure", "--src", src,
-             "--repeats", str(args.repeats)],
-            capture_output=True, text=True, check=True,
-        )
-        trees[label] = json.loads(run.stdout)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    rounds = {label: [] for label in labels}
+    for index in range(args.repeats):
+        trees = list(zip(labels, args.src))
+        for label, src in trees[::-1] if index % 2 else trees:
+            run = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--measure", "--src", src],
+                capture_output=True, text=True, check=True,
+            )
+            rounds[label].append(json.loads(run.stdout))
     report = {
         "method": (
-            f"min of {args.repeats} wall-clock runs per stage on one block, rho = {RHO:g}; "
-            "stages timed in isolation, block_ms is the estimator's whole block; "
-            "sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it, "
-            "points_ms the same as 5 single-point calls. sweeps: the outage workloads' "
-            f"{SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms draws the blocks' raw normals one "
-            "after another (the draw thread's work), "
-            "score_ms runs outage_probabilities on blocks drawn beforehand, sweep_ms is the "
-            "outage_probabilities call as simulate makes it, drawing and scoring; "
+            f"{args.repeats} rounds, each timing every tree once in a fresh process, in "
+            "reverse order every other round; a process times each stage once, and every "
+            "time is the minimum over the rounds (samples_per_s the maximum). Per block, "
+            f"rho = {RHO:g}: stages timed in isolation, block_ms is the estimator's whole "
+            "block; sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it. "
+            f"sweeps: the outage workloads' {SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms "
+            "draws the blocks' raw normals one after another (the draw thread's work), "
+            "sweep_ms is the outage_probabilities call as simulate makes it, drawing and "
+            "scoring; "
             "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, links_ms "
             "the link build inside them (direct link per slice, undecided samples' links per "
             "gather), and undecided_per_snr / undecided_any_snr give the share of samples "
@@ -237,7 +242,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "trees": trees,
+        "trees": {label: _merge(runs) for label, runs in rounds.items()},
     }
     text = json.dumps(report, indent=1)
     if args.out:

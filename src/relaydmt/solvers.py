@@ -47,6 +47,9 @@ _PASS_CELLS = 2**14
 # grid-oracle cells (alpha x beta x delta vectors) it scores at most: the count
 # at step 0.05 on (2,2,2), the largest that step gives under u+p+q <= 6
 _GRID_CELLS = 231**3
+# kink lines the dynamic engine builds at most: the count at (256,256,256),
+# ten family pairs of 257 x 257 planes
+_KINK_LINES = 10 * 257**2
 
 
 class SolverRefusal(RuntimeError):
@@ -106,8 +109,12 @@ _KINK_NORMALS = np.array(
 
 
 def _all_kink_lines(config: AntennaConfig):
-    """Point and direction of every line where two kink planes cross."""
+    """Point and direction of every line where two kink planes cross;
+    refuses past ``_KINK_LINES`` lines, counted before any array is built."""
     tops = (config.u, config.p, config.q, config.m, config.n)
+    count = sum((f + 1) * (g + 1) for f, g in itertools.combinations(tops, 2))
+    if count > _KINK_LINES:
+        raise SolverRefusal(f"vertex engine refuses {count} kink lines > {_KINK_LINES}")
     family = np.repeat(np.arange(len(tops)), [top + 1 for top in tops])
     level = np.concatenate([np.arange(top + 1.0) for top in tops])
     i, j = np.triu_indices(len(family), 1)
@@ -212,8 +219,9 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
 def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
     """Score the candidates with 0 <= a <= r[group] inside the level caps,
     with the ``_ROOT_TOL`` dust clipped, and keep the least per r; ties
-    within 1e-9 go to the smallest a, then b.  Returns the columns d, a, b,
-    s and evaluations, one entry per r."""
+    within 1e-9 go to the smallest a, then b, then s, so d, a, b and s
+    depend only on the set of candidates, not on their order or repeats.
+    Returns the columns d, a, b, s and evaluations, one entry per r."""
     b_cap = np.minimum(config.p, config.m - a)
     s_cap = np.minimum(config.q, config.n - a)
     inside = (
@@ -236,7 +244,7 @@ def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
     least = np.full(len(r), np.inf)
     np.minimum.at(least, group, values)
     near = np.flatnonzero(values <= least[group] + 1e-9)
-    near = near[np.lexsort((b[near], a[near], group[near]))]
+    near = near[np.lexsort((s[near], b[near], a[near], group[near]))]
     best = near[np.searchsorted(group[near], np.arange(len(r)))]  # the first of each r
     evaluations = np.bincount(group, minlength=len(r))
     return np.maximum(values[best], 0.0), a[best], b[best], s[best], evaluations
@@ -260,16 +268,13 @@ def _solve_one(block, config: AntennaConfig, r: float, method: str) -> SolveResu
 
 def _static_block(config: AntennaConfig, r: np.ndarray):
     """:func:`_best_vertex` over the listen-plane then the transmit-plane
-    kinks of every r (see :func:`solve_static`)."""
+    kinks of every r as listed, repeats included (see :func:`solve_static`)."""
     t, levels = _LISTEN, np.arange(max(config.m, config.n) + 1.0)
 
-    def kinks(w):  # np.unique of a = i, r - w j, (r - w c)/(1 - w) per r, flat
+    def kinks(w):  # a = i, r - w j, (r - w c)/(1 - w) per r, flat, as listed
         rest = r[:, None] - w * levels
         rows = np.concatenate([np.broadcast_to(levels, rest.shape), rest, rest / (1.0 - w)], axis=1)
-        rows.sort(axis=1)
-        keep = np.ones(rows.shape, dtype=bool)
-        keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        return rows[keep], np.nonzero(keep)[0]
+        return rows.ravel(), np.repeat(np.arange(len(r)), rows.shape[1])
 
     (listen, in_listen), (transmit, in_transmit) = kinks(t), kinks(1.0 - t)
     b = np.concatenate([(r[in_listen] - listen) / t, np.minimum(config.p, config.m - transmit)])
@@ -289,14 +294,16 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
     its cap, and a transmit half-space a + (1 - t) s <= r, with b at its cap.
     On either plane a + w x = r the objective is piecewise linear in a, so
     :func:`_best_vertex` scores its kinks: integer a (where the cap kinks too),
-    x = j (a = r - w j) and a + x = c (a = (r - w c)/(1 - w)), j, c <= max(m, n).
-    A batch of one r, like :func:`solve_two_var`.
+    x = j (a = r - w j) and a + x = c (a = (r - w c)/(1 - w)), j, c <= max(m, n),
+    scored as listed: a breakpoint two families share counts once per family
+    in ``evaluations``.  A batch of one r, like :func:`solve_two_var`.
     """
     return _solve_one(_static_block, config, r, "static-exact")
 
 
 # candidate cells one r adds to a pass of each engine: two roots per kink
-# line that meets the caps, or three kink families on each static plane
+# line that meets the caps, or three kink families on each static plane: an
+# exact count, as the static breakpoints are scored with their repeats
 _CELLS_PER_R = {
     _two_var_block: lambda c: 2 * len(_kink_lines(c)[0]),
     _static_block: lambda c: 6 * (max(c.m, c.n) + 1),

@@ -60,5 +60,5 @@ def test_stage_harness_reads_only_names_the_simulator_has():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id == "sim"
     }
-    assert {"_block_normals", "_blocks", "outage_probabilities"} <= read
+    assert {"_block_normals", "_direct_pass", "outage_probabilities"} <= read
     assert sorted(name for name in read if not hasattr(relaydmt.simulate, name)) == []

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -134,7 +136,7 @@ def test_curve_out_onto_existing_directory(tmp_path, capsys):
 
 
 def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
-    # no shipped variant refuses today; the exit-code mapping stays public
+    # the mapping holds for any variant that refuses, not only hd-dynamic
     from relaydmt import solvers
 
     def refuse(config, grid):
@@ -147,6 +149,24 @@ def test_curve_solver_refusal_exit_code(monkeypatch, capsys):
     )
     assert code == EXIT_SOLVER_REFUSED
     assert "solver refused: over the size cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mkn", [(99999, 1, 99999), (1000, 1000, 1000)])
+def test_curve_refuses_an_oversize_dynamic_engine_before_it_allocates(mkn, capsys):
+    # about 3e10 and 10,020,010 kink lines against the cap's 660,490; the
+    # first asked numpy for an 83.8 GiB plane-pair mask before the cap
+    argv = ["curve", "--m", str(mkn[0]), "--k", str(mkn[1]), "--n", str(mkn[2]), "--r", "0"]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SOLVER_REFUSED
+    assert "kink lines > 660490" in capsys.readouterr().err
+    assert seconds < 1.0 and peak < 1 << 20
 
 
 def test_curve_bad_r_mid_grid_exits_2(capsys):

@@ -615,6 +615,54 @@ def test_batched_tie_rule_holds_per_r(k):
         assert d[i] == pytest.approx(dmt_1k1(k, r), abs=1e-9)
 
 
+@pytest.mark.parametrize("variant", _ENGINES)
+def test_best_vertex_depends_only_on_the_candidate_set(variant, monkeypatch):
+    # candidates reversed and listed twice keep d, a, b and s bit for bit and
+    # double evaluations: a tie within 1e-9 falls to the same vertex by
+    # (a, b, s) whatever the order, and only copies of one vertex tie on all
+    # three, so no float-dust copy can win by its place in the list
+    block = _ENGINES[variant][0]
+    best = solvers._best_vertex
+
+    def reversed_twice(config, r, *columns):
+        return best(config, r, *(np.tile(x[::-1], 2) for x in columns))
+
+    for mkn in itertools.product(range(1, 6), repeat=3):
+        c = AntennaConfig(*mkn)
+        grid = np.linspace(0.0, c.max_mux, 201).tolist()
+        plain = solvers._solve_grid(block, c, grid)
+        monkeypatch.setattr(solvers, "_best_vertex", reversed_twice)
+        listed = solvers._solve_grid(block, c, grid)
+        monkeypatch.undo()
+        assert [x.tolist() for x in listed[:4]] == [x.tolist() for x in plain[:4]], mkn
+        assert listed[4].tolist() == (2 * plain[4]).tolist(), mkn
+
+
+@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 7)])
+def test_kink_line_cap_counts_the_lines_it_would_build(mkn, monkeypatch):
+    # the integer count the cap reads is the length of the line arrays, and
+    # a config at the cap solves: only a count past it refuses
+    c = AntennaConfig(*mkn)
+    lines = len(solvers._all_kink_lines(c)[0])
+    monkeypatch.setattr(solvers, "_KINK_LINES", lines)
+    assert len(solvers._all_kink_lines(c)[0]) == lines
+    monkeypatch.setattr(solvers, "_KINK_LINES", lines - 1)
+    with pytest.raises(SolverRefusal, match=f"refuses {lines} kink lines"):
+        solvers._all_kink_lines(c)
+
+
+def test_kink_line_cap_is_the_count_at_256_cubed(monkeypatch):
+    # counted, never built: a config near the cap takes minutes and gigabytes
+    cap = solvers._KINK_LINES
+    assert cap == 660_490
+    monkeypatch.setattr(solvers, "_KINK_LINES", 0)
+    with pytest.raises(SolverRefusal, match=f"refuses {cap} kink lines"):
+        solvers._all_kink_lines(AntennaConfig(256, 256, 256))
+    # (4,4,4) has the 250 lines the README cites
+    monkeypatch.undo()
+    assert len(solvers._all_kink_lines(AntennaConfig(4, 4, 4))[0]) == 250
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dmt_curve_one_point_grid(variant):
     c = AntennaConfig(*_VARIANT_CONFIGS[variant])
