@@ -117,9 +117,14 @@ def _all_kink_lines(config: AntennaConfig):
         raise SolverRefusal(f"vertex engine refuses {count} kink lines > {_KINK_LINES}")
     family = np.repeat(np.arange(len(tops)), [top + 1 for top in tops])
     level = np.concatenate([np.arange(top + 1.0) for top in tops])
-    i, j = np.triu_indices(len(family), 1)
-    crossing = family[i] != family[j]  # planes of one family are parallel
-    i, j = i[crossing], j[crossing]
+    # planes of one family are parallel: each plane meets the later families'
+    # planes, so the index arrays are ``count`` long
+    i, j = [], []
+    for f, top in enumerate(tops):
+        own, later = np.flatnonzero(family == f), np.flatnonzero(family > f)
+        i.append(np.repeat(own, len(later)))
+        j.append(np.tile(later, top + 1))
+    i, j = np.concatenate(i), np.concatenate(j)
     n1, n2 = _KINK_NORMALS[family[i]], _KINK_NORMALS[family[j]]
     directions = np.cross(n1, n2)
     points = (

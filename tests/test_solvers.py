@@ -638,17 +638,33 @@ def test_best_vertex_depends_only_on_the_candidate_set(variant, monkeypatch):
         assert listed[4].tolist() == (2 * plain[4]).tolist(), mkn
 
 
-@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 7)])
+@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 7), (60, 1, 1), (1, 1, 60)])
 def test_kink_line_cap_counts_the_lines_it_would_build(mkn, monkeypatch):
     # the integer count the cap reads is the length of the line arrays, and
     # a config at the cap solves: only a count past it refuses
     c = AntennaConfig(*mkn)
     lines = len(solvers._all_kink_lines(c)[0])
     monkeypatch.setattr(solvers, "_KINK_LINES", lines)
-    assert len(solvers._all_kink_lines(c)[0]) == lines
+    solvers._kink_lines.cache_clear()
+    assert solvers.solve_two_var(c, c.max_mux / 2).evaluations > 0
     monkeypatch.setattr(solvers, "_KINK_LINES", lines - 1)
+    solvers._kink_lines.cache_clear()
     with pytest.raises(SolverRefusal, match=f"refuses {lines} kink lines"):
-        solvers._all_kink_lines(c)
+        solvers.solve_two_var(c, c.max_mux / 2)
+
+
+def test_kink_lines_of_a_lopsided_config_take_memory_by_their_count():
+    # (20000,1,1) has 160,032 lines among 20,006 planes: a mask over all
+    # plane pairs would take gigabytes, the lines themselves take megabytes
+    c = AntennaConfig(20000, 1, 1)
+    tracemalloc.start()
+    try:
+        lines = len(solvers._all_kink_lines(c)[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines == 8 * 20001 + 24
+    assert peak < 400 * lines
 
 
 def test_kink_line_cap_is_the_count_at_256_cubed(monkeypatch):
