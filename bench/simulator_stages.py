@@ -1,7 +1,9 @@
-"""Stage-by-stage timing of the outage simulator.
+"""Stage-by-stage timing and peak memory of the outage simulator.
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation:
-the raw Philox draw (the draw thread's whole work), the link build
+the raw Philox draw (the draw thread's whole work) in its two stages, the
+direct link then the hops, each into a buffer reused across blocks as the
+sample walk draws it, the link build
 (``_links``: scaling the raw normals and laying them out samples-last, on
 the caller), the three cut Grams (the direct ``_side_gram`` and
 ``_relay_grams``, the calls of ``_cut_log2dets``), the log-det and the rate
@@ -10,8 +12,9 @@ for the configurations (1,1,1) .. (4,4,4).  It times a
 5-point, one-block SNR sweep as ``simulate`` runs it (one
 ``outage_probabilities`` call) and one scalar ``cutset_terms`` call (a batch
 of one).  For the two outage workloads of the benchmark it splits a 4-block
-(262,144-sample), 5-SNR sweep into the serial raw draw of its blocks and each
-scoring pass alone on the drawn blocks, beside the wall time of the
+(262,144-sample), 5-SNR sweep into the serial raw draw of its blocks (and of
+their two stages), each scoring pass alone on the drawn blocks and the copy
+of the undecided samples' rows between them, beside the wall time of the
 ``outage_probabilities`` call, which overlaps drawing and scoring: pass 1
 builds the direct link and cut of every sample, pass 2 the links and relay
 cuts of the samples whose direct link falls short of the threshold (their
@@ -20,14 +23,23 @@ share is reported per SNR); and the link build of the two passes alone.
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --repeats 5 --out BENCH_<pr>.json
 
-``--repeats R`` runs R rounds.  A round times every tree once, each in a
-fresh interpreter that imports ``relaydmt`` from that tree (so two versions
-of the package never share a process), and every other round takes the trees
-in reverse order, so a host that drifts between speed states weighs on every
-tree alike.  A process times each stage once; the report keeps each stage's
+It also probes the peak memory of the two workload sweeps in fresh
+processes, ``--rss-processes`` of them (default 10; 0 skips the probe) per
+tree, configuration and import set: each imports numpy and relaydmt, with
+and without ``scipy.stats`` (which perfbench's worker imports), reads its
+peak RSS, runs 20 sweeps (seeds 1-20) and reports how far its peak RSS
+grew.  The probe calls ``outage_probabilities`` only, so it runs on any tree;
+``--repeats 0`` skips the stage timing, for a tree this script cannot time.
+
+``--repeats R`` runs R rounds of stage timing.  A round times every tree
+once, each in a fresh interpreter that imports ``relaydmt`` from that tree
+(so two versions of the package never share a process), and every other
+round takes the trees in reverse order, so a host that drifts between speed
+states weighs on every tree alike.  A process times each stage once; the report keeps each stage's
 minimum over the rounds and checks that the work counts agree across them.  A
-tree from before the raw-draw split (no ``simulate._block_normals``) is timed
-with that commit's copy of this script.
+tree from before the two-stage draw (no ``simulate._stage_links``) is timed
+with that commit's copy of this script.  The memory probe alternates the
+trees the same way, process by process.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ import json
 import math
 import os
 import platform
+import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +64,8 @@ SCALAR_CALLS = 200
 # the outage workloads of perfbench: (m, k, n) -> (r, SNR grid in dB)
 WORKLOAD_SWEEPS = {(2, 2, 2): (1.5, (15, 20, 25, 30, 35)), (3, 3, 3): (2.9, (20, 25, 30, 35, 40))}
 SWEEP_BLOCKS = 4
+# sweeps per memory-probe process
+RSS_SWEEPS = 20
 
 
 def _time(fn) -> float:
@@ -57,6 +73,29 @@ def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _parts(sim, config, index, count, buffers=(None, None)) -> list:
+    """The raw parts of block ``index`` of seed 1, both stages drawn."""
+    stages = sim._block_normals(config, sim.channel_rng(1, index), count, buffers)
+    return [link for stage in stages for link in stage]
+
+
+def _stage_draws(sim, config, blocks) -> dict:
+    """The two draw stages of ``blocks`` whole blocks of seed 1, timed apart
+    and summed, each into a buffer the blocks share, as the sample walk
+    draws them; the buffers are written once before the clock runs."""
+    buffers = [
+        np.empty(2 * sim.BLOCK_SIZE * sum(rows * cols for rows, cols in links))
+        for links in sim._stage_links(config)
+    ]
+    _parts(sim, config, 0, sim.BLOCK_SIZE, buffers)
+    times = [0.0, 0.0]
+    for index in range(blocks):
+        stages = sim._block_normals(config, sim.channel_rng(1, index), sim.BLOCK_SIZE, buffers)
+        for stage in range(2):
+            times[stage] += _time(lambda: next(stages))
+    return {"direct_draw_ms": 1e3 * times[0], "hops_draw_ms": 1e3 * times[1]}
 
 
 def measure() -> dict:
@@ -68,7 +107,7 @@ def measure() -> dict:
     result = {}
     for mkn in CONFIGS:
         config = AntennaConfig(*mkn)
-        parts = sim._block_normals(config, sim.channel_rng(1), count)
+        parts = _parts(sim, config, 0, count)
 
         def links():
             return [sim._links(p, slice(None)) for p in parts]
@@ -87,7 +126,8 @@ def measure() -> dict:
         block_s = _time(lambda: sim.outage_probability(config, RHO, r, count, 1))
         result["%d,%d,%d" % mkn] = {
             "samples": count,
-            "draw_ms": 1e3 * _time(lambda: sim._block_normals(config, sim.channel_rng(1), count)),
+            "draw_ms": 1e3 * _time(lambda: _parts(sim, config, 0, count)),
+            **_stage_draws(sim, config, 1),
             "links_ms": 1e3 * _time(links),
             "gram_ms": 1e3 * _time(lambda: cut_grams(*block_links)),
             "logdet_ms": 1e3 * _time(lambda: logdet(grams)),
@@ -104,9 +144,9 @@ def measure() -> dict:
 
 def measure_sweeps() -> dict:
     """The workload sweeps of the ``relaydmt`` on ``sys.path``, in
-    milliseconds: the serial raw draw of the blocks, the scoring passes on
-    the drawn blocks (see :func:`_measure_passes`) and the estimator's own
-    wall time."""
+    milliseconds: the serial raw draw of the blocks, whole and by stage, the
+    scoring passes on the drawn blocks (see :func:`_measure_passes`) and the
+    estimator's own wall time."""
     from relaydmt import AntennaConfig
     from relaydmt import simulate as sim
 
@@ -116,18 +156,15 @@ def measure_sweeps() -> dict:
         config = AntennaConfig(*mkn)
         rhos = [10.0 ** (db / 10.0) for db in snr_db]
 
-        def draw(index):
-            return sim._block_normals(config, sim.channel_rng(1, index), sim.BLOCK_SIZE)
-
         def draws():
-            for index in range(SWEEP_BLOCKS):
-                draw(index)
+            return [_parts(sim, config, index, sim.BLOCK_SIZE) for index in range(SWEEP_BLOCKS)]
 
-        passes = _measure_passes(sim, [draw(index) for index in range(SWEEP_BLOCKS)], rhos, r)
+        passes = _measure_passes(sim, draws(), rhos, r)
         result["%d,%d,%d" % mkn] = {
             "samples": count,
             "snr_points": len(rhos),
             "draw_ms": 1e3 * _time(draws),
+            **_stage_draws(sim, config, SWEEP_BLOCKS),
             "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, rhos, r, count, 1)),
             **passes,
         }
@@ -137,37 +174,79 @@ def measure_sweeps() -> dict:
 def _measure_passes(sim, drawn, rhos, r) -> dict:
     """The two scoring passes of the outage sweep over blocks drawn
     beforehand, each timed alone: pass 1 (the direct link and cut at every
-    SNR) and pass 2 (the links and relay cuts of the samples pass 1 leaves
-    undecided); the link build of both passes alone (the direct link in
-    ``_CHUNK`` slices, the three links of the undecided samples in ``_CHUNK``
-    gathers); and the undecided share of the samples at each SNR and over
-    the whole grid."""
+    SNR), the copy of the undecided samples' rows of the raw parts, and pass
+    2 (the links and relay cuts of those samples, from the copies); the link
+    build of both passes alone (in ``_CHUNK`` slices of the block and of the
+    copies); and the undecided share of the samples at each SNR and over the
+    whole grid."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     decided = [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
     count = sum(len(parts[0][0]) for parts in drawn)
     short = sum((l_sd < thresholds[:, None]).sum(axis=1) for _, l_sd in decided)
 
+    def copies():
+        return [
+            [tuple(part[undecided] for part in link) for link in parts]
+            for parts, (undecided, _) in zip(drawn, decided)
+        ]
+
+    copied = copies()
+
     def links():
-        for parts, (undecided, _) in zip(drawn, decided):
-            for start in range(0, len(parts[0][0]), sim._CHUNK):
-                sim._links(parts[0], slice(start, start + sim._CHUNK))
-            for start in range(0, len(undecided), sim._CHUNK):
-                picked = undecided[start : start + sim._CHUNK]
-                for link in parts:
-                    sim._links(link, picked)
+        for parts, rows in zip(drawn, copied):
+            # pass 1 builds the block's direct link, pass 2 all three of the copies
+            for link in (parts[0], *rows):
+                for start in range(0, len(link[0]), sim._CHUNK):
+                    sim._links(link, slice(start, start + sim._CHUNK))
 
     return {
         "pass1_ms": 1e3 * _time(
             lambda: [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
         ),
+        "copy_ms": 1e3 * _time(copies),
         "pass2_ms": 1e3 * _time(
             lambda: [
-                sim._relay_pass(parts, *d, rhos, thresholds) for parts, d in zip(drawn, decided)
+                sim._relay_pass(rows, l_sd, rhos, thresholds)
+                for rows, (_, l_sd) in zip(copied, decided)
             ]
         ),
         "links_ms": 1e3 * _time(links),
         "undecided_per_snr": (short / count).tolist(),
         "undecided_any_snr": sum(len(undecided) for undecided, _ in decided) / count,
+    }
+
+
+def probe_rss(mkn, scipy_stats: bool) -> float:
+    """The growth of this fresh process's peak RSS, in MB, over
+    ``RSS_SWEEPS`` workload sweeps of ``mkn`` (seeds 1, 2, ...), counted
+    from its peak after the imports: numpy, relaydmt and, with
+    ``scipy_stats``, ``scipy.stats``, as perfbench's worker imports it."""
+    if scipy_stats:
+        import scipy.stats  # noqa: F401
+    from relaydmt import AntennaConfig, outage_probabilities
+    from relaydmt.simulate import BLOCK_SIZE
+
+    config = AntennaConfig(*mkn)
+    r, snr_db = WORKLOAD_SWEEPS[mkn]
+    rhos = [10.0 ** (db / 10.0) for db in snr_db]
+    count = SWEEP_BLOCKS * BLOCK_SIZE
+    baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for seed in range(1, RSS_SWEEPS + 1):
+        outage_probabilities(config, rhos, r, count, seed)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - baseline) / 1024.0
+
+
+def _rss_report(runs: list, mkn) -> dict:
+    """One group of memory-probe processes of ``mkn``: their growths in MB,
+    the median, and how many ran in the high mode, at least half a block
+    (65,536 samples of raw parts) above the group's least growth."""
+    m, k, n = mkn
+    block_mb = 65536 * (n * m + k * m + n * k) * 16 / 2**20
+    low = min(runs)
+    return {
+        "growth_mb": runs,
+        "median_mb": statistics.median(runs),
+        "high_mode": sum(run >= low + block_mb / 2 for run in runs),
     }
 
 
@@ -197,27 +276,44 @@ def main(argv=None) -> int:
                         help="a source tree's src directory; repeat to compare trees")
     parser.add_argument("--label", action="append", help="a name per --src (default: the path)")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--rss-processes", type=int, default=10)
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--probe", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure:
+    if args.measure or args.probe:
         sys.path.insert(0, os.path.abspath(args.src[0]))
-        print(json.dumps({"blocks": measure(), "sweeps": measure_sweeps()}))
+        if args.probe:
+            *mkn, scipy_stats = map(int, args.probe.split(","))
+            print(json.dumps(probe_rss(tuple(mkn), bool(scipy_stats))))
+        else:
+            print(json.dumps({"blocks": measure(), "sweeps": measure_sweeps()}))
         return 0
     labels = args.label or args.src
     if len(labels) != len(args.src):
         parser.error("give one --label per --src")
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
+    if args.repeats < 0 or args.rss_processes < 0:
+        parser.error("--repeats and --rss-processes must not be negative")
+    trees = list(zip(labels, args.src))
+
+    def fresh(src, *mode):
+        run = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), *mode, "--src", src],
+            capture_output=True, text=True, check=True,
+        )
+        return json.loads(run.stdout)
+
     rounds = {label: [] for label in labels}
     for index in range(args.repeats):
-        trees = list(zip(labels, args.src))
         for label, src in trees[::-1] if index % 2 else trees:
-            run = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--measure", "--src", src],
-                capture_output=True, text=True, check=True,
-            )
-            rounds[label].append(json.loads(run.stdout))
+            rounds[label].append(fresh(src, "--measure"))
+    groups = [(mkn, scipy_stats) for mkn in WORKLOAD_SWEEPS for scipy_stats in (0, 1)]
+    probes = {(label, *group): [] for label in labels for group in groups}
+    for index in range(args.rss_processes):
+        for label, src in trees[::-1] if index % 2 else trees:
+            for mkn, scipy_stats in groups:
+                probe = ",".join(map(str, (*mkn, scipy_stats)))
+                probes[label, mkn, scipy_stats].append(fresh(src, "--probe", probe))
     report = {
         "method": (
             f"{args.repeats} rounds, each timing every tree once in a fresh process, in "
@@ -242,8 +338,29 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "trees": {label: _merge(runs) for label, runs in rounds.items()},
+        "trees": {label: _merge(runs) for label, runs in rounds.items() if runs},
     }
+    if args.rss_processes:
+        report["rss_method"] = (
+            f"{args.rss_processes} fresh processes per tree, configuration and import set, "
+            "the trees alternated process by process; each imports numpy and relaydmt "
+            "(with_scipy_stats: and scipy.stats, as perfbench's worker does), reads its peak "
+            f"RSS, runs {RSS_SWEEPS} workload sweeps ({SWEEP_BLOCKS} blocks, 5 SNRs, seeds "
+            f"1-{RSS_SWEEPS}) and reports the growth of its peak RSS in MB; high_mode counts "
+            "the processes at least half a block above the least growth of their group"
+        )
+        report["rss"] = {
+            label: {
+                "%d,%d,%d" % mkn: {
+                    ("with" if scipy_stats else "without") + "_scipy_stats": _rss_report(
+                        probes[label, mkn, scipy_stats], mkn
+                    )
+                    for scipy_stats in (0, 1)
+                }
+                for mkn in WORKLOAD_SWEEPS
+            }
+            for label in labels
+        }
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -21,19 +21,17 @@ from relaydmt import (
     rate_exponent,
 )
 from relaydmt.simulate import (
-    _blocks,
-    _channels,
     _cut_log2dets,
     _eigen_exponent_rows,
     _switch_and_rate,
+    _walk_channels,
 )
 
 
 def main():
     config = AntennaConfig(1, 1, 1)
     n_samples = 4000
-    (parts,) = _blocks(config, 42, n_samples)
-    channels = _channels(parts)
+    (channels,) = _walk_channels(config, 42, n_samples)
 
     print("=== rate ceiling vs exponent rate level ===\n")
     print("      rho    median |R/log2(rho) - level|   support violations")

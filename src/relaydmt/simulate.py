@@ -9,16 +9,18 @@ blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
 estimated alone or within a sweep.  ``_blocks`` owns this layout and the walk
-over it (a thread draws ahead; each block keeps its stream, so no count
-moves): the outage sweep and the eigenvalue statistics both walk the samples
-through it.  It hands over raw normals, which the reader scales and lays out
-samples-last (``_links``): the outage sweep builds the direct link one slice
-at a time and the hops of the samples its direct link leaves undecided only;
-other readers take whole triples (``_channels``).
+over it (a thread draws each block in two stages, the direct link then the
+hops, into two buffers the walk reuses; each block keeps its stream, so no
+count moves): the outage sweep and the eigenvalue statistics both walk the
+samples through it.  It hands over raw normals, which the reader scales and
+lays out samples-last (``_links``): the outage sweep builds the direct link
+one slice at a time and copies out the rows of the samples its direct link
+leaves undecided only; other readers take whole triples (``_walk_channels``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,20 +112,33 @@ def channel_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_normals(config: AntennaConfig, rng: np.random.Generator, count: int):
-    """The raw draws of a block of channel triples: per link, in the draw
-    order direct, in-hop, out-hop, a (real, imaginary) pair of N(0, 1)
-    float64 arrays of shape (count, rows, cols), the real part drawn first.
-    This is the whole of a block's Philox fill, one ``standard_normal`` call
-    split into the six arrays: the stream is that of one call per array,
-    but a drawing thread waits for the GIL once per block, not six times.
-    ``_links`` scales and lays the parts out."""
+def _stage_links(config: AntennaConfig):
+    """The (rows, cols) of the links of each draw stage: the direct link,
+    then the in-hop and the out-hop."""
     m, k, n = config.m, config.k, config.n
-    shapes = [(count, rows, cols) for rows, cols in ((n, m), (k, m), (n, k)) for _ in range(2)]
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = rng.standard_normal(sum(sizes))
-    parts = [p.reshape(shape) for p, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    return tuple(zip(parts[0::2], parts[1::2]))
+    return ((n, m),), ((k, m), (n, k))
+
+
+def _block_normals(
+    config: AntennaConfig, rng: np.random.Generator, count: int, buffers=(None, None)
+):
+    """The raw draws of a block of channel triples, stage by stage: per link
+    of a stage (``_stage_links``), a (real, imaginary) pair of N(0, 1)
+    float64 arrays of shape (count, rows, cols), the real part drawn first.
+    A stage is one ``standard_normal`` call split into its arrays, drawn
+    when the generator is advanced, so a reader can score the direct link
+    while the hops are drawn; the stages in order give the draw order direct,
+    in-hop, out-hop, and the stream of one call per array.  Given
+    ``buffers`` (one flat float64 array per stage, long enough for it) a
+    stage fills the front of its buffer instead of a new array.  ``_links`` scales and lays
+    the parts out."""
+    for links, buffer in zip(_stage_links(config), buffers):
+        shapes = [(count, rows, cols) for rows, cols in links for _ in range(2)]
+        sizes = [math.prod(shape) for shape in shapes]
+        out = np.empty(sum(sizes)) if buffer is None else buffer[: sum(sizes)]
+        flat = np.split(rng.standard_normal(out=out), np.cumsum(sizes)[:-1])
+        parts = [p.reshape(shape) for p, shape in zip(flat, shapes)]
+        yield tuple(zip(parts[0::2], parts[1::2]))
 
 
 def _links(parts, picked) -> np.ndarray:
@@ -148,7 +163,7 @@ def _channels(parts):
 def _block_channels(config: AntennaConfig, rng: np.random.Generator, count: int):
     """A block of channel triples, stacked on the leading axis (draw order:
     direct, in-hop, out-hop)."""
-    return _channels(_block_normals(config, rng, count))
+    return _channels([link for stage in _block_normals(config, rng, count) for link in stage])
 
 
 def sample_channel(config: AntennaConfig, rng: np.random.Generator) -> ChannelSample:
@@ -337,35 +352,58 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     triples, block by block: block ``i`` holds ``BLOCK_SIZE`` samples (fewer
     in a partial last block) from the stream (seed, i).
 
-    One worker thread draws every block, block 0 and a one-block walk
-    included: while the caller scores block i it draws block i+1 (the Philox
-    fill releases the GIL), and a block drawn on the caller's thread would
-    keep a block's worth of freed memory resident there.  At most two blocks
-    are alive if the caller drops block i before it asks for block i+1: the
-    draw of block i+2 starts as block i+1 is handed over.  The worker runs
-    the Philox fill alone; the caller builds the links it reads (``_links``)
-    one slice at a time.
+    Per block it yields ``(direct, hops, release)``.  ``direct()`` and
+    ``hops()`` wait for the block's two draw stages and return them (the
+    direct link, then the two hops: ``(*direct(), *hops())`` are its raw
+    parts); a draw error is raised there, in the reader, and nothing is
+    drawn after it.  ``release()`` hands the block's memory back to the
+    walk, and asking for the next block releases it too.  One worker
+    thread draws every stage, into two buffers allocated once per walk and
+    sized by its largest block: block i+1's direct link is drawn as block i
+    is released and its hops follow, so the reader scores a direct link
+    while its hops are drawn, and whatever it copied out of block i while
+    block i+1 is drawn.  So a reader must be done with a block's parts when
+    it releases them; then a walk holds one block and the reader's copies.
     """
     sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
+    buffers = [
+        np.empty(2 * sizes[0] * sum(rows * cols for rows, cols in links))
+        for links in _stage_links(config)
+    ]
+    pool = ThreadPoolExecutor(max_workers=1)
+    queued = []  # per block queued so far, the futures of its two stages
 
-    def draw(index):
-        return _block_normals(config, channel_rng(seed, index), sizes[index])
+    def start(index):  # queue block ``index``'s two stages, once, if it exists
+        if len(queued) == index < len(sizes):
+            stages = _block_normals(config, channel_rng(seed, index), sizes[index], buffers)
+            queued.append([pool.submit(next, stages) for _ in range(2)])
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0)
+    try:
         for index in range(len(sizes)):
-            block = None  # while block i is awaited, only the caller holds block i-1
-            block = ahead.result()
-            if index + 1 < len(sizes):
-                ahead = pool.submit(draw, index + 1)
-            yield block
+            start(index)  # unless the reader released block index - 1
+            (direct, hops), queued[index] = queued[index], None
+            yield direct.result, hops.result, functools.partial(start, index + 1)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _walk_channels(config: AntennaConfig, seed: int, n_samples: int):
+    """The blocks of ``_blocks`` as samples-first channel triples
+    (``_channels``), each built before its block is released: the next block
+    is drawn while the reader scores these."""
+    for direct, hops, release in _blocks(config, seed, n_samples):
+        channels = _channels((*direct(), *hops()))
+        release()
+        yield channels
+        del channels  # before the next block's are built
 
 
 def _direct_pass(parts, rhos, thresholds):
-    """Pass 1 of the outage sweep over a block's raw parts: the indices of
-    the samples whose direct link falls short of the threshold at some SNR,
-    and their ``l_sd`` rows (one per SNR).  The direct link is built one
-    ``_CHUNK`` slice at a time; the hops are not read."""
+    """Pass 1 of the outage sweep over a block's raw parts, of which it
+    reads the direct link only (the block's first draw stage suffices):
+    the indices of the samples whose direct link falls short of the
+    threshold at some SNR, and their ``l_sd`` rows (one per SNR).  The
+    direct link is built one ``_CHUNK`` slice at a time."""
     direct = parts[0]
     undecided, l_sd = [], []
     for start in range(0, len(direct[0]), _CHUNK):
@@ -377,18 +415,18 @@ def _direct_pass(parts, rhos, thresholds):
     return np.concatenate(undecided), np.concatenate(l_sd, axis=1)
 
 
-def _relay_pass(parts, undecided, l_sd, rhos, thresholds) -> np.ndarray:
+def _relay_pass(parts, l_sd, rhos, thresholds) -> np.ndarray:
     """Pass 2 of the outage sweep: the outage count at each SNR among the
-    samples pass 1 left undecided.  Their three links are built ``_CHUNK``
-    samples at a time from a gather of their rows of the raw parts (each
-    sample's entries are contiguous there)."""
+    samples pass 1 left undecided, from their rows of the raw parts and
+    their ``l_sd`` rows, copied out of the block.  Their three links are
+    built one ``_CHUNK`` slice at a time."""
     counts = np.zeros(len(rhos), dtype=np.int64)
-    for start in range(0, len(undecided), _CHUNK):
-        picked = undecided[start : start + _CHUNK]
+    for start in range(0, l_sd.shape[1], _CHUNK):
+        picked = slice(start, start + _CHUNK)
         grams = _relay_grams(*(_links(p, picked) for p in parts))
         for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
             relay = (_log2_det_eye_plus(rho, g) for g in grams)
-            _, rate = _switch_and_rate(l_sd[i, start : start + _CHUNK], *relay)
+            _, rate = _switch_and_rate(l_sd[i, picked], *relay)
             counts[i] += np.count_nonzero(rate < threshold)
     return counts
 
@@ -411,7 +449,7 @@ def outage_probabilities(
     the threshold at every SNR is not in outage (``rate >= l_sd``), so pass
     2 builds the relay-cut Grams of the others only.  A sample's entries do
     not depend on the rest of its stack, so no count moves.  The next block
-    is drawn on a second thread while this one is scored (see ``_blocks``).
+    is drawn while this one's undecided samples are scored (see ``_blocks``).
     ``workers`` is validated but changes neither the result nor the speed.
     """
     rhos = tuple(rhos)
@@ -429,9 +467,12 @@ def outage_probabilities(
         raise DomainError(f"workers must be positive, got {workers}")
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     counts = np.zeros(len(rhos), dtype=np.int64)
-    for parts in _blocks(config, seed, n_samples):
-        counts += _relay_pass(parts, *_direct_pass(parts, rhos, thresholds), rhos, thresholds)
-        del parts  # before the next draw starts (see ``_blocks``)
+    for direct, hops, release in _blocks(config, seed, n_samples):
+        undecided, l_sd = _direct_pass(direct(), rhos, thresholds)
+        rows = [tuple(part[undecided] for part in link) for link in (*direct(), *hops())]
+        release()  # pass 2 reads its copies while the next block is drawn
+        counts += _relay_pass(rows, l_sd, rhos, thresholds)
+        del rows  # before the next block's rows are copied
     return [
         OutageEstimate(
             rho=rho,
@@ -534,10 +575,10 @@ def conditional_independence_check(
 
     # the largest eigenvalue of W1, W2 and W3 per sample, block by block
     tops = ([], [], [])
-    for parts in _blocks(config, seed, n_samples):
-        for top, w in zip(tops, _composite_grams(rho, *_channels(parts))):
+    for channels in _walk_channels(config, seed, n_samples):
+        for top, w in zip(tops, _composite_grams(rho, *channels)):
             top.append(np.linalg.eigvalsh(w)[:, -1])
-        del parts  # before the next draw starts (see ``_blocks``)
+        del channels  # before the next block's are built
     lam, mu, gam = (np.concatenate(top) for top in tops)
 
     shuffle_rng = channel_rng(seed, 2**32)

@@ -50,6 +50,9 @@ _GRID_CELLS = 231**3
 # kink lines the dynamic engine builds at most: the count at (256,256,256),
 # ten family pairs of 257 x 257 planes
 _KINK_LINES = 10 * 257**2
+# profile entries the static engine scores per r at most: the count at
+# (256,256,256), 6 x 257 breakpoints, each with a profile of length 256
+_STATIC_ENTRIES = 6 * 257 * 256
 
 
 class SolverRefusal(RuntimeError):
@@ -306,12 +309,23 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
     return _solve_one(_static_block, config, r, "static-exact")
 
 
+def _static_cells(config: AntennaConfig) -> int:
+    """Candidate cells one r adds to a static pass: three kink families on
+    each static plane, an exact count, as the breakpoints are scored with
+    their repeats.  Refuses past ``_STATIC_ENTRIES`` profile entries (the
+    cells times the longest profile), counted before any array is built."""
+    cells = 6 * (max(config.m, config.n) + 1)
+    entries = cells * max(config.u, config.p, config.q)
+    if entries > _STATIC_ENTRIES:
+        raise SolverRefusal(f"static engine refuses {entries} profile entries > {_STATIC_ENTRIES}")
+    return cells
+
+
 # candidate cells one r adds to a pass of each engine: two roots per kink
-# line that meets the caps, or three kink families on each static plane: an
-# exact count, as the static breakpoints are scored with their repeats
+# line that meets the caps, or ``_static_cells``
 _CELLS_PER_R = {
     _two_var_block: lambda c: 2 * len(_kink_lines(c)[0]),
-    _static_block: lambda c: 6 * (max(c.m, c.n) + 1),
+    _static_block: _static_cells,
 }
 
 

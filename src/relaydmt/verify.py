@@ -22,7 +22,7 @@ from .core import (
     in_support,
     rate_exponent,
 )
-from .simulate import _blocks, _channels, _cut_log2dets
+from .simulate import _cut_log2dets, _walk_channels
 from .solvers import dmt_curve, solve_general_grid, solve_two_var
 
 
@@ -155,7 +155,7 @@ def check_symmetric_upper_dominates() -> str:
 
 def check_cutset_samples() -> str:
     c = AntennaConfig(2, 2, 2)
-    l_sd, l_srd, l_s_rd = _cut_log2dets(50.0, *_channels(next(_blocks(c, 77, 500))))
+    l_sd, l_srd, l_s_rd = _cut_log2dets(50.0, *next(_walk_channels(c, 77, 500)))
     _expect(bool(np.all(l_srd >= l_sd - 1e-9)), "joint cut below direct cut")
     _expect(bool(np.all(l_s_rd >= l_sd - 1e-9)), "listen cut below direct cut")
     return "cut monotonicity on 500 samples"

@@ -169,6 +169,25 @@ def test_curve_refuses_an_oversize_dynamic_engine_before_it_allocates(mkn, capsy
     assert seconds < 1.0 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("mkn", [(5000, 5000, 5000), (257, 257, 257)])
+def test_curve_refuses_an_oversize_static_engine_before_it_allocates(mkn, capsys):
+    # 150,030,000 and 397,836 profile entries against the cap's 394,752; the
+    # first asked numpy for a 763 MiB profile array before the cap
+    argv = ["curve", "--variants", "hd-static", "--r", "1",
+            "--m", str(mkn[0]), "--k", str(mkn[1]), "--n", str(mkn[2])]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SOLVER_REFUSED
+    assert "profile entries > 394752" in capsys.readouterr().err
+    assert seconds < 1.0 and peak < 1 << 20
+
+
 def test_curve_bad_r_mid_grid_exits_2(capsys):
     code = main(["curve", "--m", "1", "--k", "2", "--n", "1",
                  "--variants", "hd-dynamic,hd-static", "--r", "0.25,1.5,0.75"])

@@ -1,8 +1,10 @@
+import concurrent.futures
 import functools
+import importlib.util
 import math
+import os
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -38,6 +40,16 @@ from relaydmt.simulate import (
     _links,
     _switch_and_rate,
 )
+
+
+DEMO = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "exponent_statistics.py"
+)
+
+
+def _parts(config, rng, count):
+    """A block's raw parts drawn serially: both stages of ``_block_normals``."""
+    return [link for stage in _block_normals(config, rng, count) for link in stage]
 
 
 def scalar_sample(h_sd, h_sr, h_rd):
@@ -79,22 +91,30 @@ def test_sample_channel_unit_second_moment():
 @pytest.mark.parametrize("mkn", [(2, 2, 2), (2, 1, 3)])
 def test_block_normals_are_the_pinned_draws(mkn):
     # one standard_normal call per array, in the contract's order: direct,
-    # in-hop, out-hop, real before imaginary
+    # in-hop, out-hop, real before imaginary; the same into buffers longer
+    # than the block, whose fronts the parts then are
     m, k, n = mkn
     rng = channel_rng(3, 1)
     shapes = [(1000, rows, cols) for rows, cols in ((n, m), (k, m), (n, k)) for _ in range(2)]
     serial = [rng.standard_normal(shape) for shape in shapes]
-    block = _block_normals(AntennaConfig(*mkn), channel_rng(3, 1), 1000)
-    parts = [p for link in block for p in link]
-    assert [p.dtype for p in parts] == [np.float64] * 6
-    assert [p.shape for p in parts] == shapes
-    assert [p.tobytes() for p in parts] == [h.tobytes() for h in serial]
+    c = AntennaConfig(*mkn)
+    buffers = [np.full(2 * 1500 * n * m, np.nan), np.full(2 * 1500 * (k * m + n * k), np.nan)]
+    for given in ((None, None), buffers):
+        stages = list(_block_normals(c, channel_rng(3, 1), 1000, given))
+        assert [len(stage) for stage in stages] == [1, 2]
+        parts = [p for stage in stages for link in stage for p in link]
+        assert [p.dtype for p in parts] == [np.float64] * 6
+        assert [p.shape for p in parts] == shapes
+        assert [p.tobytes() for p in parts] == [h.tobytes() for h in serial]
+    direct, in_hop, out_hop = (link[0] for stage in stages for link in stage)
+    assert np.shares_memory(direct, buffers[0]) and np.shares_memory(out_hop, buffers[1])
+    assert np.isnan(buffers[0][2 * 1000 * n * m :]).all()
 
 
 def test_block_channels_are_samples_first_views_of_samples_last_links():
     c = AntennaConfig(2, 1, 3)
     count = 1000
-    block = _channels(_block_normals(c, channel_rng(5), count))
+    block = _channels(_parts(c, channel_rng(5), count))
     assert [h.shape for h in block] == [(count, 3, 2), (count, 1, 2), (count, 3, 1)]
     for h in block:
         assert h.dtype == complex
@@ -107,7 +127,7 @@ def test_links_equal_the_picked_rows_of_the_block():
     # from the raw parts: byte for byte the block's rows
     c = AntennaConfig(2, 1, 3)
     count = 2 * _CHUNK + 777
-    parts = _block_normals(c, channel_rng(7), count)
+    parts = _parts(c, channel_rng(7), count)
     block = _block_channels(c, channel_rng(7), count)
     index = np.sort(np.random.default_rng(0).choice(count, 1500, replace=False))
     for picked in (slice(_CHUNK, 2 * _CHUNK), slice(2 * _CHUNK, 3 * _CHUNK), index):
@@ -449,12 +469,12 @@ def _unpruned_recount(c, rhos, r, n, seed):
     threshold at every SNR."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     counts, undecided_total = [0] * len(rhos), 0
-    for block in simulate._blocks(c, seed, n):
-        undecided, l_sd = _direct_pass(block, rhos, thresholds)
-        decided = np.ones(len(block[0][0]), dtype=bool)
+    for direct, hops, _ in _blocks(c, seed, n):
+        undecided, l_sd = _direct_pass(direct(), rhos, thresholds)
+        channels = _channels((*direct(), *hops()))
+        decided = np.ones(len(channels[0]), dtype=bool)
         decided[undecided] = False
         undecided_total += len(undecided)
-        channels = _channels(block)
         for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
             cuts = _cut_log2dets(rho, *channels)
             _, rate = _switch_and_rate(*cuts)
@@ -474,6 +494,8 @@ PRUNE_CASES = {
     "direct-clears-all": ((2, 2, 2), 0.2, (40,), (0.0, 0.0)),
     "direct-clears-few": ((1, 1, 1), 0.99, (10,), (0.5, 0.7)),
 }
+# (m, k, n), r and SNR grid in dB of a sweep whose direct link is faded
+FADED_CASE = ((2, 2, 2), 0.8, (15, 25, 35))
 
 
 @pytest.mark.parametrize("case", PRUNE_CASES)
@@ -489,19 +511,29 @@ def test_pruned_counts_equal_the_unpruned_recount(case):
     assert low <= undecided_share <= high
 
 
+def _fade_direct_link(monkeypatch):
+    """Scale every block's direct link down 100-fold, in the walk's own
+    buffer, as it is drawn: it then falls short on almost every sample."""
+    draw = simulate._block_normals
+
+    def faded(*args):
+        stages = draw(*args)
+        direct = next(stages)
+        for part in direct[0]:
+            part *= 0.01
+        yield direct
+        yield from stages
+
+    monkeypatch.setattr(simulate, "_block_normals", faded)
+
+
 def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeypatch):
-    # a direct link scaled down 100-fold falls short on almost every sample,
-    # so pass 2 gathers nearly the whole block
-    c, r, seed = AntennaConfig(2, 2, 2), 0.8, 13
-    rhos = [10.0 ** (db / 10.0) for db in (15, 25, 35)]
+    # pass 2 copies out nearly the whole block
+    mkn, r, snr_db = FADED_CASE
+    c, seed = AntennaConfig(*mkn), 13
+    rhos = [10.0 ** (db / 10.0) for db in snr_db]
     n = BLOCK_SIZE + 1234
-    walk = _blocks
-
-    def faded(config, seed, n_samples):
-        for direct, in_hop, out_hop in walk(config, seed, n_samples):
-            yield tuple(part * 0.01 for part in direct), in_hop, out_hop
-
-    monkeypatch.setattr(simulate, "_blocks", faded)
+    _fade_direct_link(monkeypatch)
     events = [e.events for e in outage_probabilities(c, rhos, r, n, seed)]
     counts, undecided_share = _unpruned_recount(c, rhos, r, n, seed)
     assert events == counts
@@ -509,50 +541,66 @@ def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeyp
     assert 0 < min(events) and max(events) < n
 
 
-@pytest.mark.parametrize("case, bound", [("outage-222", 2.25), ("outage-333", 2.3)])
-def test_sweep_keeps_about_two_blocks_in_memory(monkeypatch, case, bound):
-    # two blocks of raw parts (the one scored, the one drawn) and slices
-    # beside them; a block-sized link built on the caller would exceed it.
-    # Each block is scored only once the next is drawn, so the caller's
-    # slices always meet two whole blocks: the worst case of the overlap.
-    mkn, r, snr_db, _ = PRUNE_CASES[case]
+# (m, k, n), r, SNR grid in dB, whether the direct link is faded, and the
+# bound on the peak in blocks
+MEMORY_CASES = {
+    "outage-222": (*PRUNE_CASES["outage-222"][:3], False, 1.3),
+    "outage-333": (*PRUNE_CASES["outage-333"][:3], False, 1.42),
+    # about 99% of the samples undecided: the copied rows are a block too
+    "faded-direct-link": (*FADED_CASE, True, 2.4),
+}
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES)
+def test_sweep_keeps_about_one_block_in_memory(monkeypatch, case):
+    # the walk's two buffers (one block of raw parts), the undecided
+    # samples' rows copied out of them and slices beside these; a
+    # block-sized link built on the caller, or a second block drawn, would
+    # exceed it.  Each block's pass 2 runs only once the next block is drawn
+    # whole, so its copies always meet full buffers: the worst case of the
+    # overlap.
+    mkn, r, snr_db, faded, bound = MEMORY_CASES[case]
     c = AntennaConfig(*mkn)
     rhos = [10.0 ** (db / 10.0) for db in snr_db]
     blocks = 4
     block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
     outage_probabilities(c, rhos, r, 1000, seed=1)  # lazy imports stay out of the trace
-    draw, direct_pass = simulate._block_normals, simulate._direct_pass
+    if faded:
+        _fade_direct_link(monkeypatch)
+    draw, relay_pass = simulate._block_normals, simulate._relay_pass
     drawn, scored = [], []
     ready = threading.Condition()
 
     def counted_draw(*args):
-        parts = draw(*args)
-        with ready:
-            drawn.append(1)
-            ready.notify_all()
-        return parts
+        for stage in draw(*args):
+            with ready:
+                drawn.append(1)
+                ready.notify_all()
+            yield stage
 
     def waiting_pass(*args):
         scored.append(1)
         with ready:
-            next_drawn = ready.wait_for(lambda: len(drawn) >= min(len(scored) + 1, blocks), 60.0)
+            stages = min(2 * (len(scored) + 1), 2 * blocks)
+            next_drawn = ready.wait_for(lambda: len(drawn) >= stages, 60.0)
         assert next_drawn
-        return direct_pass(*args)
+        return relay_pass(*args)
 
     monkeypatch.setattr(simulate, "_block_normals", counted_draw)
-    monkeypatch.setattr(simulate, "_direct_pass", waiting_pass)
+    monkeypatch.setattr(simulate, "_relay_pass", waiting_pass)
     tracemalloc.start()
     try:
         outage_probabilities(c, rhos, r, blocks * BLOCK_SIZE, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(drawn) == len(scored) == blocks
+    assert len(drawn) == 2 * blocks and len(scored) == blocks
     assert peak <= bound * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
 
 
 # ---------------------------------------------------------------------------
-# the sample walk: one thread draws the next block while the caller scores
+# the sample walk: one thread draws each block, direct link then hops, into
+# two buffers the walk reuses
 
 
 def _bounded(walk, seconds=60.0):
@@ -576,29 +624,54 @@ def _bounded(walk, seconds=60.0):
     return value
 
 
+def _read(direct, hops):
+    """A walked block's raw parts as (bytes, shape, strides), read before
+    the block is released."""
+    return [(p.tobytes(), p.shape, p.strides) for link in (*direct(), *hops()) for p in link]
+
+
+def _serial(c, seed, sizes):
+    """``_read`` of the blocks of a walk drawn one after another, each into
+    new arrays."""
+    return [
+        [(p.tobytes(), p.shape, p.strides) for link in _parts(c, channel_rng(seed, i), size)
+         for p in link]
+        for i, size in enumerate(sizes)
+    ]
+
+
 def test_blocks_prefetch_yields_the_serial_draws():
+    # each block is read during the walk, as the next is drawn into the same
+    # buffers: once when the reader asks for the next block, once when it
+    # releases each block as soon as it has read it
     c = AntennaConfig(2, 1, 3)
     sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
-    got = _bounded(lambda: list(_blocks(c, 23, sum(sizes))))
-    assert len(got) == len(sizes)
-    for i, (size, block) in enumerate(zip(sizes, got)):
-        drawn = [part for link in block for part in link]
-        serial = [part for link in _block_normals(c, channel_rng(23, i), size) for part in link]
-        assert [h.shape for h in drawn] == [h.shape for h in serial]
-        assert [h.strides for h in drawn] == [h.strides for h in serial]
-        assert [h.tobytes() for h in drawn] == [h.tobytes() for h in serial]
+
+    def asking():
+        return [_read(direct, hops) for direct, hops, _ in _blocks(c, 23, sum(sizes))]
+
+    def releasing():
+        walked = []
+        for direct, hops, release in _blocks(c, 23, sum(sizes)):
+            walked.append(_read(direct, hops))
+            release()
+            release()  # a second release of a block starts nothing more
+        return walked
+
+    serial = _serial(c, 23, sizes)
+    assert _bounded(asking) == serial
+    assert _bounded(releasing) == serial
 
 
 def test_blocks_concurrent_walks_under_fast_switching():
     # four walks at once on two cores, with thread switches every 10 us:
-    # each still yields its own streams, in order
+    # each still yields its own streams, in order, from its own buffers
     c = AntennaConfig(1, 1, 1)
-    n = 2 * BLOCK_SIZE + 1234
+    sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
     results = {}
 
     def walk(seed):
-        walked = _blocks(c, seed, n)
-        results[seed] = [p.tobytes() for block in walked for link in block for p in link]
+        results[seed] = [_read(direct, hops) for direct, hops, _ in _blocks(c, seed, sum(sizes))]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -612,9 +685,7 @@ def test_blocks_concurrent_walks_under_fast_switching():
         sys.setswitchinterval(interval)
     assert not any(walker.is_alive() for walker in walkers)
     for seed in range(4):
-        sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
-        serial = [_block_normals(c, channel_rng(seed, i), size) for i, size in enumerate(sizes)]
-        assert results[seed] == [p.tobytes() for block in serial for link in block for p in link]
+        assert results[seed] == _serial(c, seed, sizes)
 
 
 def test_blocks_leaves_no_thread_behind():
@@ -623,13 +694,25 @@ def test_blocks_leaves_no_thread_behind():
 
     def full(baseline):
         threads = [threading.active_count() for _ in _blocks(c, 3, n)]
-        assert threads[0] == baseline + 1  # the prefetch thread runs while block 0 is held
+        assert threads[0] == baseline + 1  # the draw thread runs while block 0 is held
 
     def next_and_drop(baseline):
         next(_blocks(c, 3, n))
 
+    def direct_read_hops_drawing(baseline):
+        walk = _blocks(c, 3, n)
+        direct, _, _ = next(walk)
+        direct()
+        del walk  # the hop stage is queued or running
+
     def broken_off(baseline):
         for _ in _blocks(c, 3, n):
+            break
+
+    def released_then_broken_off(baseline):
+        for direct, hops, release in _blocks(c, 3, n):
+            direct(), hops()
+            release()  # block 1's stages are queued
             break
 
     def consumer_raises(baseline):
@@ -638,7 +721,8 @@ def test_blocks_leaves_no_thread_behind():
                 raise KeyError("scoring failed")
 
     def single_block(baseline):
-        for _ in _blocks(c, 3, BLOCK_SIZE):
+        for direct, hops, _ in _blocks(c, 3, BLOCK_SIZE):
+            direct(), hops()
             assert threading.active_count() == baseline + 1  # drawn on the worker too
 
     def extra_threads_after(walk):
@@ -646,117 +730,221 @@ def test_blocks_leaves_no_thread_behind():
         walk(baseline)
         return threading.active_count() - baseline
 
-    for walk in (full, next_and_drop, broken_off, consumer_raises, single_block):
+    walks = (full, next_and_drop, direct_read_hops_drawing, broken_off, released_then_broken_off,
+             consumer_raises, single_block)
+    for walk in walks:
         assert _bounded(functools.partial(extra_threads_after, walk)) == 0, walk.__name__
 
 
-class _Block:
-    """A stand-in block that a weak reference can follow."""
-
-
 def _sweep(n):
-    outage_probabilities(AntennaConfig(1, 1, 1), (100.0,), 0.5, n, seed=1)
+    return outage_probabilities(AntennaConfig(1, 1, 1), (100.0,), 0.5, n, seed=1)
 
 
 def _independence(n):
-    conditional_independence_check(AntennaConfig(1, 1, 1), 100.0, n, 5, seed=1)
+    return conditional_independence_check(AntennaConfig(1, 1, 1), 100.0, n, 5, seed=1)
+
+
+def _serial_walk(config, seed, n_samples):
+    """``_blocks`` with neither a thread nor buffers: each block drawn into
+    new arrays on the caller's thread, and nothing to release."""
+    for index, start in enumerate(range(0, n_samples, BLOCK_SIZE)):
+        parts = _parts(config, channel_rng(seed, index), min(BLOCK_SIZE, n_samples - start))
+        yield (lambda parts=parts: parts[:1]), (lambda parts=parts: parts[1:]), (lambda: None)
 
 
 @pytest.mark.parametrize("consume", [_sweep, _independence])
 def test_walk_readers_drop_their_block_before_the_next_draw(monkeypatch, consume):
-    # the draw of block i+2 starts as block i+1 is handed over; a reader
-    # still holding block i then keeps three blocks alive.  The slow submit
-    # lets the draw start before the walk's yield reaches the reader.
-    drawn = []  # a weak reference to one array of each block
-    held_at_draw = []
-    draw = simulate._block_normals
+    # a reader works on its own copies once it releases a block.  Here each
+    # draw ends before ``submit`` returns, so a release overwrites the
+    # buffers at once: a reader that still read them would score the next
+    # block's draws.  It must get the result of a walk that draws each
+    # block into new arrays, and drop its copies of a block before it copies
+    # the next (else two blocks' copies meet the buffers).
+    n = 4 * BLOCK_SIZE
+    monkeypatch.setattr(simulate, "_blocks", _serial_walk)
+    serial = consume(n)
+    monkeypatch.undo()
 
-    def tracked_draw(*args):
-        held_at_draw.append(sum(ref() is not None for ref in drawn))
-        parts = draw(*args)
-        drawn.append(weakref.ref(parts[0][0]))
-        return parts
-
-    class SlowSubmit(simulate.ThreadPoolExecutor):
+    class DrawnAtSubmit(simulate.ThreadPoolExecutor):
         def submit(self, *args):
             future = super().submit(*args)
-            time.sleep(0.05)
+            concurrent.futures.wait([future])
             return future
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SlowSubmit)
-    monkeypatch.setattr(simulate, "_block_normals", tracked_draw)
-    _bounded(lambda: consume(4 * BLOCK_SIZE))
-    assert len(held_at_draw) == 4 and max(held_at_draw) <= 1
+    copies = []  # a weak reference to one array of each block's copies
+    held_at_copy = []
+    direct_pass, relay_pass = simulate._direct_pass, simulate._relay_pass
+    channels = simulate._channels
+
+    def copying(copy):
+        def tracked(*args):
+            held_at_copy.append(sum(ref() is not None for ref in copies))
+            return copy(*args)
+        return tracked
+
+    def tracked_relay_pass(rows, *args):
+        copies.append(weakref.ref(rows[0][0]))
+        return relay_pass(rows, *args)
+
+    def tracked_channels(parts):
+        triple = channels(parts)
+        copies.append(weakref.ref(triple[0]))
+        return triple
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", DrawnAtSubmit)
+    # the sweep copies its rows after pass 1, the independence check its
+    # channel triples
+    monkeypatch.setattr(simulate, "_direct_pass", copying(direct_pass))
+    monkeypatch.setattr(simulate, "_relay_pass", tracked_relay_pass)
+    monkeypatch.setattr(simulate, "_channels", copying(tracked_channels))
+    assert _bounded(lambda: consume(n)) == serial
+    assert len(copies) == 4 and held_at_copy == [0] * 4
 
 
 def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
-    alive = weakref.WeakSet()
-    held_at_draw = []
-    drawn_on = set()
+    # two buffers, allocated once per walk and sized by its largest block:
+    # every stage of every block lands in one of them, drawn on the one
+    # draw thread, so a walk holds one block however many it yields
+    c = AntennaConfig(2, 1, 3)
+    block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
+    fronts, drawn_on = set(), set()
+    draw = simulate._block_normals
 
-    def fake_draw(config, rng, count):
-        held_at_draw.append(len(alive))  # blocks alive as a new one is drawn
-        drawn_on.add(threading.get_ident())
-        block = _Block()
-        alive.add(block)
-        return block
+    def tracked_draw(*args):
+        for stage in draw(*args):
+            fronts.add((len(stage), stage[0][0].__array_interface__["data"][0]))
+            drawn_on.add(threading.get_ident())
+            yield stage
 
     def walk():
-        for _ in _blocks(AntennaConfig(1, 1, 1), 5, 6 * BLOCK_SIZE):
-            time.sleep(0.01)  # the scoring, with the GIL released
+        for direct, hops, _ in _blocks(c, 5, 3 * BLOCK_SIZE + 1234):
+            direct(), hops()
         return threading.get_ident()
 
-    monkeypatch.setattr(simulate, "_block_normals", fake_draw)
-    caller = _bounded(walk)
-    assert len(held_at_draw) == 6 and max(held_at_draw) <= 1
-    # every block, the first included, is allocated on the one prefetch thread
+    next(_blocks(c, 5, 1000))  # lazy imports stay out of the trace
+    monkeypatch.setattr(simulate, "_block_normals", tracked_draw)
+    tracemalloc.start()
+    try:
+        caller = _bounded(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fronts) == 2 and {size for size, _ in fronts} == {1, 2}
     assert len(drawn_on) == 1 and caller not in drawn_on
+    assert block_bytes <= peak <= 1.02 * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
 
 
-def test_blocks_drops_its_reference_before_it_waits(monkeypatch):
-    alive = weakref.WeakSet()
-    held_after_draw = []
-
-    def slow_draw(config, rng, count):
-        time.sleep(0.05)  # the caller asks for this block while it is drawn
-        held_after_draw.append(len(alive))
-        block = _Block()
-        alive.add(block)
-        return block
-
+def test_blocks_drops_its_reference_before_it_waits():
+    # once it hands over block i+1, the walk keeps nothing of block i: the
+    # reader alone decides how long block i's stages live
     def walk():
         blocks = _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE)
-        next(blocks)  # block 0, dropped at once by the caller
+        direct, hops, _ = next(blocks)
+        direct(), hops()
+        futures = [weakref.ref(stage.__self__) for stage in (direct, hops)]
+        del direct, hops
         next(blocks)
+        return [ref() for ref in futures]
 
-    monkeypatch.setattr(simulate, "_block_normals", slow_draw)
-    _bounded(walk)
-    assert held_after_draw[:2] == [0, 0]
+    assert _bounded(walk) == [None, None]
+
+
+def test_blocks_hand_over_the_direct_link_while_the_hops_are_drawn(monkeypatch):
+    # with the hop stage held back, ``direct()`` returns and ``hops()`` waits
+    gate = threading.Event()
+    draw = simulate._block_normals
+
+    def gated_draw(*args):
+        stages = draw(*args)
+        yield next(stages)
+        assert gate.wait(60.0)
+        yield from stages
+
+    def walk():
+        pending = []
+        for direct, hops, _ in _blocks(AntennaConfig(1, 1, 1), 5, 2 * BLOCK_SIZE + 1):
+            direct()
+            pending.append(not hops.__self__.done())
+            gate.set()
+            hops()
+            gate.clear()
+        return pending
+
+    monkeypatch.setattr(simulate, "_block_normals", gated_draw)
+    assert _bounded(walk) == [True] * 3
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["block 0", "block 1", "last block"])
 def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
-    # block 0 fails before the first yield, block 1 while block 0 is held
-    error = OSError(f"the draw of block {failing} failed")
-    drawn = []
+    # the direct stage or the hop stage of the block fails: the reader gets
+    # the error from ``direct()`` or ``hops()``
+    draw = simulate._block_normals
+    for stage in (0, 1):
+        error = OSError(f"stage {stage} of block {failing} failed")
+        drawn = []  # the stages drawn, in order
 
-    def failing_draw(config, rng, count):
-        drawn.append(count)
-        if len(drawn) == failing + 1:
-            raise error
-        return _block_normals(config, rng, count)
+        def failing_draw(*args):
+            stages = draw(*args)
+            for _ in range(2):
+                if len(drawn) == 2 * failing + stage:
+                    raise error
+                drawn.append(1)
+                yield next(stages)
 
-    def walk():
-        baseline = threading.active_count()
-        with pytest.raises(OSError) as raised:
-            for _ in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
-                pass
-        return raised.value, threading.active_count() - baseline
+        def walk():
+            baseline = threading.active_count()
+            with pytest.raises(OSError) as raised:
+                for direct, hops, _ in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
+                    direct(), hops()
+            return raised.value, threading.active_count() - baseline
 
-    monkeypatch.setattr(simulate, "_block_normals", failing_draw)
-    raised, extra_threads = _bounded(walk)
-    # the same error object, no thread left behind, no block drawn after it
-    assert raised is error and extra_threads == 0 and len(drawn) == failing + 1
+        monkeypatch.setattr(simulate, "_block_normals", failing_draw)
+        raised, extra_threads = _bounded(walk)
+        # the same error object, no thread left behind, no stage drawn after it
+        assert raised is error and extra_threads == 0, stage
+        assert len(drawn) == 2 * failing + stage, stage
+
+
+def test_single_block_readers_score_the_serial_draw(monkeypatch, capsys):
+    # verify's cut-set check walks 500 samples: its buffers hold 500
+    # samples, not a block (12.6 MB at (2,2,2))
+    from relaydmt import verify
+
+    def spying(cut, seen):
+        def spy(rho, *channels):
+            seen.append([h.tobytes() for h in channels])
+            return cut(rho, *channels)
+        return spy
+
+    seen = []
+    verify.check_cutset_samples()  # lazy imports stay out of the trace
+    monkeypatch.setattr(verify, "_cut_log2dets", spying(verify._cut_log2dets, seen))
+    tracemalloc.start()
+    try:
+        verify.check_cutset_samples()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    serial = _block_channels(AntennaConfig(2, 2, 2), channel_rng(77), 500)
+    assert seen == [[h.tobytes() for h in serial]]
+    assert peak < 1 << 20
+    # the demo's one block of 4,000 samples, up to its first cut evaluation
+    spec = importlib.util.spec_from_file_location("exponent_statistics", DEMO)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    seen = []
+    monkeypatch.setattr(demo, "_cut_log2dets", spying(stop, seen))
+    with pytest.raises(Stop):
+        demo.main()
+    serial = _block_channels(AntennaConfig(1, 1, 1), channel_rng(42), 4000)
+    assert seen == [[h.tobytes() for h in serial]]
 
 
 # ---------------------------------------------------------------------------

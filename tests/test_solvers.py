@@ -679,6 +679,42 @@ def test_kink_line_cap_is_the_count_at_256_cubed(monkeypatch):
     assert len(solvers._all_kink_lines(AntennaConfig(4, 4, 4))[0]) == 250
 
 
+@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 7), (60, 1, 1), (1, 1, 60)])
+def test_static_cap_bounds_the_profile_rows_a_solve_builds(mkn, monkeypatch):
+    # the count the cap reads bounds every profile array of a one-r solve,
+    # and a config at the cap solves: only a count past it refuses
+    c = AntennaConfig(*mkn)
+    entries = solvers._static_cells(c) * max(c.u, c.p, c.q)
+    built = []
+    rows = solvers._profile_rows
+
+    def counted_rows(levels, length):
+        built.append(len(levels) * length)
+        return rows(levels, length)
+
+    monkeypatch.setattr(solvers, "_profile_rows", counted_rows)
+    monkeypatch.setattr(solvers, "_STATIC_ENTRIES", entries)
+    assert solve_static(c, c.max_mux / 2).evaluations > 0
+    assert 0 < max(built) <= entries
+    monkeypatch.setattr(solvers, "_STATIC_ENTRIES", entries - 1)
+    built.clear()
+    with pytest.raises(SolverRefusal, match=f"refuses {entries} profile entries"):
+        solve_static(c, c.max_mux / 2)
+    assert built == []
+
+
+def test_static_cap_is_the_count_at_256_cubed():
+    # the count grows with each of m, k and n, so every config up to
+    # (256,256,256) passes the cap; one past it refuses
+    cap = solvers._STATIC_ENTRIES
+    assert cap == 394_752
+    for mkn in itertools.product((1, 2, 17, 128, 255, 256), repeat=3):
+        solvers._static_cells(AntennaConfig(*mkn))
+    assert solvers._static_cells(AntennaConfig(256, 256, 256)) * 256 == cap
+    with pytest.raises(SolverRefusal, match="refuses 397836 profile entries"):
+        solve_static(AntennaConfig(257, 257, 257), 1.0)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dmt_curve_one_point_grid(variant):
     c = AntennaConfig(*_VARIANT_CONFIGS[variant])
