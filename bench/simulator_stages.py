@@ -1,9 +1,9 @@
 """Stage-by-stage timing and peak memory of the outage simulator.
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation:
-the raw Philox draw (the draw thread's whole work) in its two stages, the
-direct link then the hops, each into a buffer reused across blocks as the
-sample walk draws it, the link build
+the raw Philox draw in its two stages, the direct link (the reader's draw)
+then the hops (the draw worker's), each into a buffer reused across blocks
+as the sample walk draws it, the link build
 (``_links``: scaling the raw normals and laying them out samples-last, on
 the caller), the three cut Grams (the direct ``_side_gram`` and
 ``_relay_grams``, the calls of ``_cut_log2dets``), the log-det and the rate
@@ -19,6 +19,9 @@ of the undecided samples' rows between them, beside the wall time of the
 builds the direct link and cut of every sample, pass 2 the links and relay
 cuts of the samples whose direct link falls short of the threshold (their
 share is reported per SNR); and the link build of the two passes alone.
+Beside these it sums the work of each thread of the sample walk, the
+reader's (direct-link draw, pass 1, copy and pass 2) and the draw
+worker's (the hops), and names the larger, the one that bounds the sweep.
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --repeats 5 --out BENCH_<pr>.json
@@ -160,13 +163,20 @@ def measure_sweeps() -> dict:
             return [_parts(sim, config, index, sim.BLOCK_SIZE) for index in range(SWEEP_BLOCKS)]
 
         passes = _measure_passes(sim, draws(), rhos, r)
+        stages = _stage_draws(sim, config, SWEEP_BLOCKS)
         result["%d,%d,%d" % mkn] = {
             "samples": count,
             "snr_points": len(rhos),
             "draw_ms": 1e3 * _time(draws),
-            **_stage_draws(sim, config, SWEEP_BLOCKS),
+            **stages,
             "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, rhos, r, count, 1)),
             **passes,
+            # the walk's two threads: the reader draws each direct link and
+            # runs both passes, the worker draws the hops
+            "reader_ms": stages["direct_draw_ms"] + sum(
+                passes[key] for key in ("pass1_ms", "copy_ms", "pass2_ms")
+            ),
+            "worker_ms": stages["hops_draw_ms"],
         }
     return result
 
@@ -322,10 +332,16 @@ def main(argv=None) -> int:
             f"rho = {RHO:g}: stages timed in isolation, block_ms is the estimator's whole "
             "block; sweep_ms is one block at the 5 SNRs of 15:35:5 dB as simulate runs it. "
             f"sweeps: the outage workloads' {SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms "
-            "draws the blocks' raw normals one after another (the draw thread's work), "
+            "draws the blocks' raw normals one after another, "
             "sweep_ms is the outage_probabilities call as simulate makes it, drawing and "
             "scoring; "
-            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, links_ms "
+            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, copy_ms "
+            "the copy of the undecided samples' rows between them; reader_ms is the work of "
+            "the walk's reading thread (direct_draw_ms + pass1_ms + copy_ms + pass2_ms) and "
+            "worker_ms that of its draw worker (hops_draw_ms), bound_by the larger, which "
+            "sets the sweep's pace where the reader draws the direct links (a walk whose "
+            "worker draws both stages gives it draw_ms against pass1_ms + copy_ms + "
+            "pass2_ms); links_ms "
             "the link build inside them (direct link per slice, undecided samples' links per "
             "gather), and undecided_per_snr / undecided_any_snr give the share of samples "
             "whose direct link falls short of r log2(rho) at each SNR / at any; per block, "
@@ -340,6 +356,9 @@ def main(argv=None) -> int:
         },
         "trees": {label: _merge(runs) for label, runs in rounds.items() if runs},
     }
+    for tree in report["trees"].values():
+        for sweep in tree["sweeps"].values():
+            sweep["bound_by"] = max(("reader", "worker"), key=lambda t: sweep[t + "_ms"])
     if args.rss_processes:
         report["rss_method"] = (
             f"{args.rss_processes} fresh processes per tree, configuration and import set, "

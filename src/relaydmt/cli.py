@@ -123,12 +123,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _db_to_rho(db: float) -> float:
+    """The linear SNR of ``db`` decibels: inf past the float range, which
+    the SNR rule refuses like any infinite SNR."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if len(args.r) != 1:
         raise DomainError("simulate needs exactly one --r value")
     r = args.r[0]
-    rhos = [10.0 ** (db / 10.0) for db in args.snr_db]
+    rhos = [_db_to_rho(db) for db in args.snr_db]
     estimates = outage_probabilities(config, rhos, r, args.samples, args.seed, args.workers)
     fit = diversity_fit(estimates)
     analytic = solve_two_var(config, r).d

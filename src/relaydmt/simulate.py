@@ -9,20 +9,22 @@ blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
 estimated alone or within a sweep.  ``_blocks`` owns this layout and the walk
-over it (a thread draws each block in two stages, the direct link then the
-hops, into two buffers the walk reuses; each block keeps its stream, so no
-count moves): the outage sweep and the eigenvalue statistics both walk the
-samples through it.  It hands over raw normals, which the reader scales and
-lays out samples-last (``_links``): the outage sweep builds the direct link
-one slice at a time and copies out the rows of the samples its direct link
-leaves undecided only; other readers take whole triples (``_walk_channels``).
+over it (each block is drawn in two stages into two buffers the walk reuses:
+the direct link on the reader's thread, the hops on one worker thread, so a
+block's hops are drawn while the reader scores its direct link and draws the
+next; each block keeps its stream, so no count moves): the outage sweep and
+the eigenvalue statistics both walk the samples through it.  It hands over
+raw normals, which the reader scales and lays out samples-last (``_links``):
+the outage sweep builds the direct link one slice at a time and copies out
+the rows of the samples its direct link leaves undecided only; other readers
+take whole triples (``_walk_channels``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -352,36 +354,43 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
     triples, block by block: block ``i`` holds ``BLOCK_SIZE`` samples (fewer
     in a partial last block) from the stream (seed, i).
 
-    Per block it yields ``(direct, hops, release)``.  ``direct()`` and
-    ``hops()`` wait for the block's two draw stages and return them (the
-    direct link, then the two hops: ``(*direct(), *hops())`` are its raw
-    parts); a draw error is raised there, in the reader, and nothing is
-    drawn after it.  ``release()`` hands the block's memory back to the
-    walk, and asking for the next block releases it too.  One worker
-    thread draws every stage, into two buffers allocated once per walk and
-    sized by its largest block: block i+1's direct link is drawn as block i
-    is released and its hops follow, so the reader scores a direct link
-    while its hops are drawn, and whatever it copied out of block i while
-    block i+1 is drawn.  So a reader must be done with a block's parts when
-    it releases them; then a walk holds one block and the reader's copies.
+    Per block it yields ``(direct, hops, release)``: ``direct()`` and
+    ``hops()`` return the block's two draw stages (``(*direct(), *hops())``
+    are its raw parts; ``hops()`` waits for its stage).  The stages are
+    drawn in walk order into two buffers allocated once per walk and sized
+    by its largest block: each direct link on the caller's thread, the hops
+    on one worker thread.  ``release(0)`` hands the block's direct link
+    back, and the next one is drawn there and then while the worker may
+    still draw this block's hops; ``release()`` hands back the whole block,
+    and the worker starts the next block's hops; asking for the next block
+    releases this one too.  So a reader must be done with a stage's parts
+    when it releases them; then a walk holds one block and the reader's
+    copies.  A draw error is raised in the reader, and nothing is drawn
+    after it: a direct link's by the walk or ``release``, the hops' by
+    ``hops()``.
     """
-    sizes = [min(BLOCK_SIZE, n_samples - start) for start in range(0, n_samples, BLOCK_SIZE)]
+    blocks = -(-n_samples // BLOCK_SIZE)
     buffers = [
-        np.empty(2 * sizes[0] * sum(rows * cols for rows, cols in links))
+        np.empty(2 * min(BLOCK_SIZE, n_samples) * sum(rows * cols for rows, cols in links))
         for links in _stage_links(config)
     ]
     pool = ThreadPoolExecutor(max_workers=1)
-    queued = []  # per block queued so far, the futures of its two stages
+    queued, stages = [], None  # futures of the stages started in walk order; the last block's draw
 
-    def start(index):  # queue block ``index``'s two stages, once, if it exists
-        if len(queued) == index < len(sizes):
-            stages = _block_normals(config, channel_rng(seed, index), sizes[index], buffers)
-            queued.append([pool.submit(next, stages) for _ in range(2)])
+    def start(index, stage=1):  # start the stages in walk order, up to block index's ``stage``
+        nonlocal stages
+        while len(queued) <= min(2 * index + stage, 2 * blocks - 1):
+            block, hop = divmod(len(queued), 2)
+            if not hop:  # a direct link, on the caller
+                size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
+                stages = _block_normals(config, channel_rng(seed, block), size, buffers)
+                (direct := Future()).set_result(next(stages))
+            queued.append(pool.submit(next, stages) if hop else direct)
 
     try:
-        for index in range(len(sizes)):
+        for index in range(blocks):
             start(index)  # unless the reader released block index - 1
-            (direct, hops), queued[index] = queued[index], None
+            (direct, hops), queued[2 * index :] = queued[2 * index :], (None, None)
             yield direct.result, hops.result, functools.partial(start, index + 1)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -389,8 +398,8 @@ def _blocks(config: AntennaConfig, seed: int, n_samples: int):
 
 def _walk_channels(config: AntennaConfig, seed: int, n_samples: int):
     """The blocks of ``_blocks`` as samples-first channel triples
-    (``_channels``), each built before its block is released: the next block
-    is drawn while the reader scores these."""
+    (``_channels``), each built before its block is released: the next
+    block's hops are drawn while the reader scores these."""
     for direct, hops, release in _blocks(config, seed, n_samples):
         channels = _channels((*direct(), *hops()))
         release()
@@ -448,8 +457,9 @@ def outage_probabilities(
     Pass 1 builds every sample's direct Gram; a sample whose ``l_sd`` clears
     the threshold at every SNR is not in outage (``rate >= l_sd``), so pass
     2 builds the relay-cut Grams of the others only.  A sample's entries do
-    not depend on the rest of its stack, so no count moves.  The next block
-    is drawn while this one's undecided samples are scored (see ``_blocks``).
+    not depend on the rest of its stack, so no count moves.  The hops are
+    drawn on a worker while this thread runs both passes and draws the next
+    direct link (see ``_blocks``).
     ``workers`` is validated but changes neither the result nor the speed.
     """
     rhos = tuple(rhos)
@@ -469,8 +479,10 @@ def outage_probabilities(
     counts = np.zeros(len(rhos), dtype=np.int64)
     for direct, hops, release in _blocks(config, seed, n_samples):
         undecided, l_sd = _direct_pass(direct(), rhos, thresholds)
-        rows = [tuple(part[undecided] for part in link) for link in (*direct(), *hops())]
-        release()  # pass 2 reads its copies while the next block is drawn
+        rows = [tuple(part[undecided] for part in link) for link in direct()]
+        release(0)  # the next block's direct link is drawn here while the hops are drawn
+        rows += [tuple(part[undecided] for part in link) for link in hops()]
+        release()  # pass 2 reads its copies while the next block's hops are drawn
         counts += _relay_pass(rows, l_sd, rhos, thresholds)
         del rows  # before the next block's rows are copied
     return [

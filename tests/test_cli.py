@@ -354,6 +354,17 @@ def test_simulate_rejects_degenerate_rate(r, snr_db):
     assert code == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("snr_db", ["4000", "10,20,3100"])
+def test_simulate_refuses_an_snr_past_the_float_range(snr_db, capsys):
+    # 10 ** 400 overflows a float: the SNR reads as inf and is refused
+    code = main(
+        ["simulate", "--m", "1", "--k", "1", "--n", "1", "--r", "0.5",
+         "--snr-db", snr_db, "--samples", "1000"]
+    )
+    assert code == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "error: rho must exceed 1 and be finite, got inf\n"
+
+
 def test_simulate_insufficient_points():
     code = main(
         ["simulate", "--m", "2", "--k", "2", "--n", "2", "--r", "0.2",

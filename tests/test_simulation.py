@@ -1,6 +1,7 @@
 import concurrent.futures
 import functools
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -688,6 +689,36 @@ def test_blocks_concurrent_walks_under_fast_switching():
         assert results[seed] == _serial(c, seed, sizes)
 
 
+def test_concurrent_sweeps_under_fast_switching(monkeypatch):
+    # four sweeps at once on two cores, with thread switches every 10 us:
+    # each reader draws its next direct link while its worker draws the
+    # hops, and each still counts the samples of a serial, buffer-free walk
+    c, n = AntennaConfig(1, 1, 1), 2 * BLOCK_SIZE + 1234
+
+    def sweep(seed):
+        return outage_probabilities(c, (10.0, 100.0), 0.5, n, seed=seed)
+
+    with monkeypatch.context() as serial_walk:
+        serial_walk.setattr(simulate, "_blocks", _serial_walk)
+        serial = {seed: sweep(seed) for seed in range(4)}
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sweepers = [
+            threading.Thread(target=lambda seed=seed: results.update({seed: sweep(seed)}))
+            for seed in range(4)
+        ]
+        for sweeper in sweepers:
+            sweeper.start()
+        for sweeper in sweepers:
+            sweeper.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(sweeper.is_alive() for sweeper in sweepers)
+    assert results == serial
+
+
 def test_blocks_leaves_no_thread_behind():
     c = AntennaConfig(1, 1, 1)
     n = 2 * BLOCK_SIZE + 1
@@ -749,7 +780,9 @@ def _serial_walk(config, seed, n_samples):
     new arrays on the caller's thread, and nothing to release."""
     for index, start in enumerate(range(0, n_samples, BLOCK_SIZE)):
         parts = _parts(config, channel_rng(seed, index), min(BLOCK_SIZE, n_samples - start))
-        yield (lambda parts=parts: parts[:1]), (lambda parts=parts: parts[1:]), (lambda: None)
+        yield (
+            (lambda parts=parts: parts[:1]), (lambda parts=parts: parts[1:]), (lambda stage=1: None)
+        )
 
 
 @pytest.mark.parametrize("consume", [_sweep, _independence])
@@ -803,17 +836,18 @@ def test_walk_readers_drop_their_block_before_the_next_draw(monkeypatch, consume
 
 def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
     # two buffers, allocated once per walk and sized by its largest block:
-    # every stage of every block lands in one of them, drawn on the one
-    # draw thread, so a walk holds one block however many it yields
+    # every stage of every block lands in one of them, each direct link
+    # drawn on the caller's thread and all hops on one other thread, so a
+    # walk holds one block however many it yields
     c = AntennaConfig(2, 1, 3)
     block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
-    fronts, drawn_on = set(), set()
+    fronts, drawn_on = set(), {1: set(), 2: set()}  # by links per stage
     draw = simulate._block_normals
 
     def tracked_draw(*args):
         for stage in draw(*args):
             fronts.add((len(stage), stage[0][0].__array_interface__["data"][0]))
-            drawn_on.add(threading.get_ident())
+            drawn_on[len(stage)].add(threading.get_ident())
             yield stage
 
     def walk():
@@ -830,7 +864,30 @@ def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(fronts) == 2 and {size for size, _ in fronts} == {1, 2}
-    assert len(drawn_on) == 1 and caller not in drawn_on
+    assert drawn_on[1] == {caller}
+    assert len(drawn_on[2]) == 1 and caller not in drawn_on[2]
+    assert block_bytes <= peak <= 1.02 * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
+
+
+def test_blocks_size_their_buffers_without_listing_the_blocks():
+    # a walk of 10**20 samples (about 1.5e15 blocks) yields block 0 at the
+    # cost of one block: nothing is kept per block it has not reached
+    c = AntennaConfig(2, 1, 3)
+    block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
+    next(_blocks(c, 1, 1000))  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        walk = _blocks(c, 1, 10**20)
+        direct, hops, _ = next(walk)
+        links = (*direct(), *hops())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    serial = _parts(c, channel_rng(1, 0), BLOCK_SIZE)
+    assert [p.tobytes() for link in links for p in link] == [
+        p.tobytes() for link in serial for p in link
+    ]
+    walk.close()
     assert block_bytes <= peak <= 1.02 * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
 
 
@@ -874,35 +931,105 @@ def test_blocks_hand_over_the_direct_link_while_the_hops_are_drawn(monkeypatch):
     assert _bounded(walk) == [True] * 3
 
 
+def test_blocks_draw_the_next_direct_link_while_the_hops_are_drawn(monkeypatch):
+    # with block 0's hop stage held on the worker, ``release(0)`` returns
+    # with block 1's direct link drawn on the caller's thread, equal to a
+    # serial draw; block 1's hops are queued only at ``release()``
+    c = AntennaConfig(2, 1, 3)
+    sizes = (BLOCK_SIZE, 1234)
+    held, gate = threading.Event(), threading.Event()
+    drawn = {}  # (block, stage) -> the drawing thread and the stage's bytes
+    submitted = []
+    draw, made = simulate._block_normals, itertools.count()
+
+    def gated_draw(*args):
+        block = next(made)
+        for stage, links in enumerate(draw(*args)):
+            if (block, stage) == (0, 1):
+                held.set()
+                assert gate.wait(60.0)
+            drawn[block, stage] = threading.get_ident(), [p.tobytes() for l in links for p in l]
+            yield links
+
+    class Counted(simulate.ThreadPoolExecutor):
+        def submit(self, *args):
+            submitted.append(1)
+            return super().submit(*args)
+
+    def walk():
+        caller = threading.get_ident()
+        blocks = _blocks(c, 23, sum(sizes))
+        try:
+            direct, hops, release = next(blocks)
+            direct_0 = [p.tobytes() for link in direct() for p in link]
+            assert held.wait(60.0)
+            release(0)
+            assert not hops.__self__.done() and len(submitted) == 1
+            assert drawn[1, 0] == (caller, [b for b, _, _ in serial[1][:2]])
+        finally:
+            gate.set()
+        hops_0 = [p.tobytes() for link in hops() for p in link]
+        assert [direct_0 + hops_0] == [[b for b, _, _ in serial[0]]]
+        assert len(submitted) == 1  # block 1's hops wait for the release
+        release()
+        assert len(submitted) == 2
+        assert [_read(*next(blocks)[:2])] == serial[1:]
+        assert drawn[0, 1][0] == drawn[1, 1][0] != caller
+
+    serial = _serial(c, 23, sizes)
+    monkeypatch.setattr(simulate, "_block_normals", gated_draw)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Counted)
+    _bounded(walk)
+
+
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["block 0", "block 1", "last block"])
 def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
-    # the direct stage or the hop stage of the block fails: the reader gets
-    # the error from ``direct()`` or ``hops()``
+    # the direct stage or the hop stage of the block fails.  A direct link
+    # fails on the reader's thread, and the reader gets the error from the
+    # walk, or from ``release(0)`` if it releases the block before; a hop
+    # stage fails on the worker, and the reader gets it from ``hops()``
     draw = simulate._block_normals
-    for stage in (0, 1):
+    for stage, releasing in itertools.product((0, 1), (False, True)):
         error = OSError(f"stage {stage} of block {failing} failed")
-        drawn = []  # the stages drawn, in order
+        drawn, failed_on = set(), []  # the (block, stage) drawn; the failing thread
+        made = itertools.count()
 
         def failing_draw(*args):
-            stages = draw(*args)
-            for _ in range(2):
-                if len(drawn) == 2 * failing + stage:
+            block, stages = next(made), draw(*args)
+            for s in range(2):
+                if (block, s) == (failing, stage):
+                    failed_on.append(threading.get_ident())
                     raise error
-                drawn.append(1)
+                drawn.add((block, s))
                 yield next(stages)
 
         def walk():
             baseline = threading.active_count()
             with pytest.raises(OSError) as raised:
-                for direct, hops, _ in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
-                    direct(), hops()
-            return raised.value, threading.active_count() - baseline
+                for direct, hops, release in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
+                    direct()
+                    if releasing:
+                        release(0)
+                    hops()
+            return raised.value, threading.get_ident(), threading.active_count() - baseline
 
         monkeypatch.setattr(simulate, "_block_normals", failing_draw)
-        raised, extra_threads = _bounded(walk)
+        raised, reader, extra_threads = _bounded(walk)
+        case = (stage, releasing)
         # the same error object, no thread left behind, no stage drawn after it
-        assert raised is error and extra_threads == 0, stage
-        assert len(drawn) == 2 * failing + stage, stage
+        assert raised is error and extra_threads == 0, case
+        assert len(failed_on) == 1 and (failed_on[0] == reader) == (stage == 0), case
+        before = {(block, s) for block in range(failing) for s in (0, 1)}
+        before |= {(failing, 0)} if stage else set()
+        if stage == 0 and releasing and failing:
+            # the hops of the block before may be cancelled before they start
+            assert drawn in (before, before - {(failing - 1, 1)}), case
+        elif stage == 1 and releasing and failing < 2:
+            # the next block's direct link was drawn at ``release(0)``, before
+            # ``hops()`` failed
+            assert drawn == before | {(failing + 1, 0)}, case
+        else:
+            assert drawn == before, case
 
 
 def test_single_block_readers_score_the_serial_draw(monkeypatch, capsys):
