@@ -13,15 +13,19 @@ for the configurations (1,1,1) .. (4,4,4).  It times a
 ``outage_probabilities`` call) and one scalar ``cutset_terms`` call (a batch
 of one).  For the two outage workloads of the benchmark it splits a 4-block
 (262,144-sample), 5-SNR sweep into the serial raw draw of its blocks (and of
-their two stages), each scoring pass alone on the drawn blocks and the copy
-of the undecided samples' rows between them, beside the wall time of the
+their two stages), each scoring pass alone on the drawn blocks and the
+gather of the undecided samples' rows between them (as the tree's walk
+hands them to pass 2), beside the wall time of the
 ``outage_probabilities`` call, which overlaps drawing and scoring: pass 1
 builds the direct link and cut of every sample, pass 2 the links and relay
 cuts of the samples whose direct link falls short of the threshold (their
 share is reported per SNR); and the link build of the two passes alone.
 Beside these it sums the work of each thread of the sample walk, the
-reader's (direct-link draw, pass 1, copy and pass 2) and the draw
+reader's (direct-link draw, pass 1, gather and pass 2) and the draw
 worker's (the hops), and names the larger, the one that bounds the sweep.
+Each ``sweep_ms`` comes with the process CPU time of the same call
+(``sweep_cpu_ms``): CPU time above wall time shows that the walk's two
+threads ran at once, CPU time equal to it a host that ran them in turn.
 
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --repeats 5 --out BENCH_<pr>.json
@@ -48,6 +52,7 @@ trees the same way, process by process.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -76,6 +81,15 @@ def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _sweep_times(fn) -> dict:
+    """Wall and process CPU time of one sweep call ``fn()``, in
+    milliseconds; the CPU time counts every thread of the process."""
+    start, cpu = time.perf_counter(), time.process_time()
+    fn()
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+    return {"sweep_ms": 1e3 * wall, "sweep_cpu_ms": 1e3 * cpu}
 
 
 def _parts(sim, config, index, count, buffers=(None, None)) -> list:
@@ -137,7 +151,7 @@ def measure() -> dict:
             "combine_ms": 1e3 * _time(lambda: sim._switch_and_rate(*logs)),
             "block_ms": 1e3 * block_s,
             "samples_per_s": count / block_s,
-            "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, SWEEP, r, count, 1)),
+            **_sweep_times(lambda: sim.outage_probabilities(config, SWEEP, r, count, 1)),
             "scalar_cutset_terms_us": 1e6 / SCALAR_CALLS * _time(
                 lambda: [sim.cutset_terms(sample, RHO) for _ in range(SCALAR_CALLS)]
             ),
@@ -169,12 +183,13 @@ def measure_sweeps() -> dict:
             "snr_points": len(rhos),
             "draw_ms": 1e3 * _time(draws),
             **stages,
-            "sweep_ms": 1e3 * _time(lambda: sim.outage_probabilities(config, rhos, r, count, 1)),
+            **_sweep_times(lambda: sim.outage_probabilities(config, rhos, r, count, 1)),
             **passes,
-            # the walk's two threads: the reader draws each direct link and
-            # runs both passes, the worker draws the hops
+            # the walk's two threads: the reader draws each direct link,
+            # runs both passes and gathers between them, the worker draws
+            # the hops
             "reader_ms": stages["direct_draw_ms"] + sum(
-                passes[key] for key in ("pass1_ms", "copy_ms", "pass2_ms")
+                passes[key] for key in ("pass1_ms", "gather_ms", "pass2_ms")
             ),
             "worker_ms": stages["hops_draw_ms"],
         }
@@ -184,40 +199,49 @@ def measure_sweeps() -> dict:
 def _measure_passes(sim, drawn, rhos, r) -> dict:
     """The two scoring passes of the outage sweep over blocks drawn
     beforehand, each timed alone: pass 1 (the direct link and cut at every
-    SNR), the copy of the undecided samples' rows of the raw parts, and pass
-    2 (the links and relay cuts of those samples, from the copies); the link
-    build of both passes alone (in ``_CHUNK`` slices of the block and of the
-    copies); and the undecided share of the samples at each SNR and over the
-    whole grid."""
+    SNR), the gather of the undecided samples' rows as the tree's walk
+    hands them to pass 2, and pass 2 (the relay cuts of those samples, from
+    what was gathered); the link build of both passes alone; and the
+    undecided share of the samples at each SNR and over the whole grid.
+    The walk gathers the three links of the undecided samples (``_links``);
+    a tree from before it took a ``pick`` gathers their raw rows, and its
+    pass 2 builds their links one ``_CHUNK`` slice at a time."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     decided = [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
     count = sum(len(parts[0][0]) for parts in drawn)
     short = sum((l_sd < thresholds[:, None]).sum(axis=1) for _, l_sd in decided)
+    hand_over = "pick" in inspect.signature(sim._blocks).parameters
 
-    def copies():
+    def gather():
         return [
-            [tuple(part[undecided] for part in link) for link in parts]
+            [sim._links(link, undecided) if hand_over else tuple(p[undecided] for p in link)
+             for link in parts]
             for parts, (undecided, _) in zip(drawn, decided)
         ]
 
-    copied = copies()
+    gathered = gather()
 
     def links():
-        for parts, rows in zip(drawn, copied):
-            # pass 1 builds the block's direct link, pass 2 all three of the copies
-            for link in (parts[0], *rows):
-                for start in range(0, len(link[0]), sim._CHUNK):
-                    sim._links(link, slice(start, start + sim._CHUNK))
+        for parts, rows, (undecided, _) in zip(drawn, gathered, decided):
+            # pass 1 builds the block's direct link a slice at a time
+            for start in range(0, len(parts[0][0]), sim._CHUNK):
+                sim._links(parts[0], slice(start, start + sim._CHUNK))
+            for link, row in zip(parts, rows):  # then the undecided samples' links
+                if hand_over:
+                    sim._links(link, undecided)
+                else:
+                    for start in range(0, len(undecided), sim._CHUNK):
+                        sim._links(row, slice(start, start + sim._CHUNK))
 
     return {
         "pass1_ms": 1e3 * _time(
             lambda: [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
         ),
-        "copy_ms": 1e3 * _time(copies),
+        "gather_ms": 1e3 * _time(gather),
         "pass2_ms": 1e3 * _time(
             lambda: [
                 sim._relay_pass(rows, l_sd, rhos, thresholds)
-                for rows, (_, l_sd) in zip(copied, decided)
+                for rows, (_, l_sd) in zip(gathered, decided)
             ]
         ),
         "links_ms": 1e3 * _time(links),
@@ -262,13 +286,17 @@ def _rss_report(runs: list, mkn) -> dict:
 
 def _merge(rounds: list) -> dict:
     """One tree's rounds as one report: the least of every time (``_ms``,
-    ``_us``) and the greatest of every rate (``_per_s``) over the rounds;
-    every other field, a work count or share, must be the same in each."""
+    ``_us``) and the greatest of every rate (``_per_s``) over the rounds,
+    a CPU time (``_cpu_ms``) from the round of the least wall time; every
+    other field, a work count or share, must be the same in each."""
     merged = {}
     for key, first in rounds[0].items():
         values = [run[key] for run in rounds]
         if isinstance(first, dict):
             merged[key] = _merge(values)
+        elif key.endswith("_cpu_ms"):  # the CPU time of the call whose wall time is kept
+            wall = [run[key.replace("_cpu_ms", "_ms")] for run in rounds]
+            merged[key] = values[wall.index(min(wall))]
         elif key.endswith(("_ms", "_us")):
             merged[key] = min(values)
         elif key.endswith("_per_s"):
@@ -334,13 +362,17 @@ def main(argv=None) -> int:
             f"sweeps: the outage workloads' {SWEEP_BLOCKS}-block sweeps (seed 1); draw_ms "
             "draws the blocks' raw normals one after another, "
             "sweep_ms is the outage_probabilities call as simulate makes it, drawing and "
-            "scoring; "
-            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, copy_ms "
-            "the copy of the undecided samples' rows between them; reader_ms is the work of "
-            "the walk's reading thread (direct_draw_ms + pass1_ms + copy_ms + pass2_ms) and "
+            "scoring, and sweep_cpu_ms the process CPU time of that same call (above "
+            "sweep_ms where the walk's two threads ran at once); "
+            "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, "
+            "gather_ms the gather of the undecided samples' rows between them as the tree's "
+            "walk hands them to pass 2 (their three links laid out by _links; in a tree "
+            "whose _blocks takes no pick, raw row copies whose links pass 2 builds); "
+            "reader_ms is the work of "
+            "the walk's reading thread (direct_draw_ms + pass1_ms + gather_ms + pass2_ms) and "
             "worker_ms that of its draw worker (hops_draw_ms), bound_by the larger, which "
             "sets the sweep's pace where the reader draws the direct links (a walk whose "
-            "worker draws both stages gives it draw_ms against pass1_ms + copy_ms + "
+            "worker draws both stages gives it draw_ms against pass1_ms + gather_ms + "
             "pass2_ms); links_ms "
             "the link build inside them (direct link per slice, undecided samples' links per "
             "gather), and undecided_per_snr / undecided_any_snr give the share of samples "

@@ -105,6 +105,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = AntennaConfig(args.m, args.k, args.n)
     if len(args.variants) < 2:
         raise ConfigurationError("compare needs at least two variants")
+    if len(set(args.variants)) < len(args.variants):
+        raise ConfigurationError(f"compare lists a variant twice: {','.join(args.variants)}")
     values = {v: [p.d for p in dmt_curve(config, v, args.r).points] for v in args.variants}
     gaps = {
         f"{va}|{vb}": max(abs(x - y) for x, y in zip(values[va], values[vb]))

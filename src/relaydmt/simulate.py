@@ -8,23 +8,24 @@ Reproducibility contract: the sample index space is partitioned into fixed
 blocks of ``BLOCK_SIZE``; block ``i`` draws from a counter-based generator
 keyed on (seed, i), so outage counts are bit-identical for a given seed and
 sample count, whatever ``workers`` value is passed and whether an SNR is
-estimated alone or within a sweep.  ``_blocks`` owns this layout and the walk
-over it (each block is drawn in two stages into two buffers the walk reuses:
-the direct link on the reader's thread, the hops on one worker thread, so a
-block's hops are drawn while the reader scores its direct link and draws the
-next; each block keeps its stream, so no count moves): the outage sweep and
-the eigenvalue statistics both walk the samples through it.  It hands over
-raw normals, which the reader scales and lays out samples-last (``_links``):
-the outage sweep builds the direct link one slice at a time and copies out
-the rows of the samples its direct link leaves undecided only; other readers
-take whole triples (``_walk_channels``).
+estimated alone or within a sweep.  ``_blocks`` owns this layout, the walk
+over it and the walk's buffers (each block is drawn in two stages into two
+buffers the walk reuses: the direct link on the reader's thread, the hops
+on one worker thread, so a block's hops are drawn while the reader picks
+its samples from the direct link and draws the next block's; each block
+keeps its stream, so no count moves): the outage sweep and the eigenvalue
+statistics both walk the samples through it.  A reader hands the walk a
+``pick`` that reads a block's raw direct link and chooses samples, and gets
+back those samples' links, scaled and laid out samples-last (``_links``) in
+arrays of its own: the outage sweep picks the samples its direct link
+leaves undecided, other readers take whole triples (``_walk_channels``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,25 +148,22 @@ def _links(parts, picked) -> np.ndarray:
     """The CN(0, 1) link of the samples ``picked`` (a slice or an index
     array) from its raw ``(real, imaginary)`` parts: each part times
     sqrt(1/2), stored samples-last (rows, cols, count), so that each matrix
-    entry's samples are one contiguous vector for the cut kernel."""
-    re, im = (part[picked] for part in parts)
-    out = np.empty((*re.shape[1:], len(re)), dtype=complex)
+    entry's samples are one contiguous vector for the cut kernel.  The parts
+    are gathered one at a time, so at most one part's rows are copied."""
     scale = math.sqrt(0.5)
+    re = parts[0][picked]
+    out = np.empty((*re.shape[1:], len(re)), dtype=complex)
     np.multiply(re.transpose(1, 2, 0), scale, out=out.real)
-    np.multiply(im.transpose(1, 2, 0), scale, out=out.imag)
+    del re
+    np.multiply(parts[1][picked].transpose(1, 2, 0), scale, out=out.imag)
     return out
-
-
-def _channels(parts):
-    """A block's channel triple from its raw parts: samples-first views of
-    samples-last links."""
-    return tuple(_links(p, slice(None)).transpose(2, 0, 1) for p in parts)
 
 
 def _block_channels(config: AntennaConfig, rng: np.random.Generator, count: int):
     """A block of channel triples, stacked on the leading axis (draw order:
-    direct, in-hop, out-hop)."""
-    return _channels([link for stage in _block_normals(config, rng, count) for link in stage])
+    direct, in-hop, out-hop): samples-first views of samples-last links."""
+    parts = [link for stage in _block_normals(config, rng, count) for link in stage]
+    return tuple(_links(p, slice(None)).transpose(2, 0, 1) for p in parts)
 
 
 def sample_channel(config: AntennaConfig, rng: np.random.Generator) -> ChannelSample:
@@ -349,74 +347,74 @@ def _check_integers(**counts) -> tuple:
     return tuple(map(int, counts.values()))
 
 
-def _blocks(config: AntennaConfig, seed: int, n_samples: int):
-    """The raw parts (``_block_normals``) of the first ``n_samples`` channel
-    triples, block by block: block ``i`` holds ``BLOCK_SIZE`` samples (fewer
-    in a partial last block) from the stream (seed, i).
+def _blocks(config: AntennaConfig, seed: int, n_samples: int, pick):
+    """The first ``n_samples`` channel triples, block by block: block ``i``
+    holds ``BLOCK_SIZE`` samples (fewer in a partial last block) from the
+    stream (seed, i).  Per block the walk yields ``(info, links)``, where
+    ``pick(direct) -> (picked, info)`` chose the samples (a slice or an
+    index array) from the raw parts of the block's direct link (its first
+    ``_block_normals`` stage), and ``links`` are the picked samples' direct,
+    in-hop and out-hop links (``_links``), new arrays the reader owns.
 
-    Per block it yields ``(direct, hops, release)``: ``direct()`` and
-    ``hops()`` return the block's two draw stages (``(*direct(), *hops())``
-    are its raw parts; ``hops()`` waits for its stage).  The stages are
-    drawn in walk order into two buffers allocated once per walk and sized
-    by its largest block: each direct link on the caller's thread, the hops
-    on one worker thread.  ``release(0)`` hands the block's direct link
-    back, and the next one is drawn there and then while the worker may
-    still draw this block's hops; ``release()`` hands back the whole block,
-    and the worker starts the next block's hops; asking for the next block
-    releases this one too.  So a reader must be done with a stage's parts
-    when it releases them; then a walk holds one block and the reader's
-    copies.  A draw error is raised in the reader, and nothing is drawn
-    after it: a direct link's by the walk or ``release``, the hops' by
-    ``hops()``.
+    The stages are drawn in walk order into two buffers allocated once per
+    walk and sized by its largest block, which only ``pick`` sees: each
+    direct link on the caller's thread, the hops on one worker thread.  Per
+    block the walk calls ``pick`` while the worker draws the hops, lays out
+    the direct link, draws the next block's direct link, waits for the hops,
+    lays them out, starts the next block's hops and yields; it drops a block
+    before it lays out the next, so it holds one block of raw draws beside
+    the links.  A draw error or ``pick``'s is raised in the reader, and
+    nothing is drawn after it; a direct link's comes in place of the block
+    before it.
     """
     blocks = -(-n_samples // BLOCK_SIZE)
     buffers = [
         np.empty(2 * min(BLOCK_SIZE, n_samples) * sum(rows * cols for rows, cols in links))
         for links in _stage_links(config)
     ]
+
+    def stages(index):  # block index's draw stages, its direct link drawn on the caller
+        size = min(BLOCK_SIZE, n_samples - index * BLOCK_SIZE)
+        drawn = _block_normals(config, channel_rng(seed, index), size, buffers)
+        return next(drawn), drawn
+
     pool = ThreadPoolExecutor(max_workers=1)
-    queued, stages = [], None  # futures of the stages started in walk order; the last block's draw
-
-    def start(index, stage=1):  # start the stages in walk order, up to block index's ``stage``
-        nonlocal stages
-        while len(queued) <= min(2 * index + stage, 2 * blocks - 1):
-            block, hop = divmod(len(queued), 2)
-            if not hop:  # a direct link, on the caller
-                size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
-                stages = _block_normals(config, channel_rng(seed, block), size, buffers)
-                (direct := Future()).set_result(next(stages))
-            queued.append(pool.submit(next, stages) if hop else direct)
-
     try:
-        for index in range(blocks):
-            start(index)  # unless the reader released block index - 1
-            (direct, hops), queued[2 * index :] = queued[2 * index :], (None, None)
-            yield direct.result, hops.result, functools.partial(start, index + 1)
+        direct, drawn = stages(0)
+        hops = pool.submit(next, drawn)
+        for ahead in range(1, blocks + 1):  # the next block, drawn while this one is read
+            picked, info = pick(direct)
+            links = [_links(link, picked) for link in direct]
+            if ahead < blocks:
+                direct, drawn = stages(ahead)
+            links += [_links(link, picked) for link in hops.result()]
+            if ahead < blocks:
+                hops = pool.submit(next, drawn)
+            yield info, tuple(links)
+            del picked, info, links  # before the next block's links are laid out
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _walk_channels(config: AntennaConfig, seed: int, n_samples: int):
-    """The blocks of ``_blocks`` as samples-first channel triples
-    (``_channels``), each built before its block is released: the next
-    block's hops are drawn while the reader scores these."""
-    for direct, hops, release in _blocks(config, seed, n_samples):
-        channels = _channels((*direct(), *hops()))
-        release()
-        yield channels
-        del channels  # before the next block's are built
+    """The blocks of ``_blocks`` whole, as samples-first channel triples
+    (views of the walk's samples-last links): the next block's hops are
+    drawn while the reader scores these."""
+    for _, links in _blocks(config, seed, n_samples, lambda direct: (slice(None), None)):
+        yield tuple(link.transpose(2, 0, 1) for link in links)
+        del links  # before the next block's are laid out
 
 
-def _direct_pass(parts, rhos, thresholds):
-    """Pass 1 of the outage sweep over a block's raw parts, of which it
-    reads the direct link only (the block's first draw stage suffices):
-    the indices of the samples whose direct link falls short of the
-    threshold at some SNR, and their ``l_sd`` rows (one per SNR).  The
-    direct link is built one ``_CHUNK`` slice at a time."""
-    direct = parts[0]
+def _direct_pass(direct, rhos, thresholds):
+    """Pass 1 of the outage sweep over a block's direct stage (the raw parts
+    of its direct link), the sweep's ``pick``: the indices of the samples
+    whose direct link falls short of the threshold at some SNR, and their
+    ``l_sd`` rows (one per SNR).  The direct link is built one ``_CHUNK``
+    slice at a time."""
+    link = direct[0]
     undecided, l_sd = [], []
-    for start in range(0, len(direct[0]), _CHUNK):
-        gram = _side_gram([[_links(direct, slice(start, start + _CHUNK))]])
+    for start in range(0, len(link[0]), _CHUNK):
+        gram = _side_gram([[_links(link, slice(start, start + _CHUNK))]])
         rows = np.stack([_log2_det_eye_plus(rho, gram) for rho in rhos])
         short = np.flatnonzero((rows < thresholds[:, None]).any(axis=0))
         undecided.append(short + start)
@@ -424,15 +422,15 @@ def _direct_pass(parts, rhos, thresholds):
     return np.concatenate(undecided), np.concatenate(l_sd, axis=1)
 
 
-def _relay_pass(parts, l_sd, rhos, thresholds) -> np.ndarray:
+def _relay_pass(links, l_sd, rhos, thresholds) -> np.ndarray:
     """Pass 2 of the outage sweep: the outage count at each SNR among the
-    samples pass 1 left undecided, from their rows of the raw parts and
-    their ``l_sd`` rows, copied out of the block.  Their three links are
-    built one ``_CHUNK`` slice at a time."""
+    samples pass 1 left undecided, from their three samples-last links (as
+    ``_blocks`` yields them) and their ``l_sd`` rows, one ``_CHUNK`` slice
+    of the samples at a time."""
     counts = np.zeros(len(rhos), dtype=np.int64)
     for start in range(0, l_sd.shape[1], _CHUNK):
         picked = slice(start, start + _CHUNK)
-        grams = _relay_grams(*(_links(p, picked) for p in parts))
+        grams = _relay_grams(*(link[..., picked] for link in links))
         for i, (rho, threshold) in enumerate(zip(rhos, thresholds)):
             relay = (_log2_det_eye_plus(rho, g) for g in grams)
             _, rate = _switch_and_rate(l_sd[i, picked], *relay)
@@ -457,9 +455,10 @@ def outage_probabilities(
     Pass 1 builds every sample's direct Gram; a sample whose ``l_sd`` clears
     the threshold at every SNR is not in outage (``rate >= l_sd``), so pass
     2 builds the relay-cut Grams of the others only.  A sample's entries do
-    not depend on the rest of its stack, so no count moves.  The hops are
-    drawn on a worker while this thread runs both passes and draws the next
-    direct link (see ``_blocks``).
+    not depend on the rest of its stack, so no count moves.  Pass 1 is the
+    walk's ``pick`` and runs while the block's hops are drawn, pass 2 on the
+    links the walk hands over while the next block's hops are drawn (see
+    ``_blocks``).
     ``workers`` is validated but changes neither the result nor the speed.
     """
     rhos = tuple(rhos)
@@ -477,14 +476,10 @@ def outage_probabilities(
         raise DomainError(f"workers must be positive, got {workers}")
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     counts = np.zeros(len(rhos), dtype=np.int64)
-    for direct, hops, release in _blocks(config, seed, n_samples):
-        undecided, l_sd = _direct_pass(direct(), rhos, thresholds)
-        rows = [tuple(part[undecided] for part in link) for link in direct()]
-        release(0)  # the next block's direct link is drawn here while the hops are drawn
-        rows += [tuple(part[undecided] for part in link) for link in hops()]
-        release()  # pass 2 reads its copies while the next block's hops are drawn
-        counts += _relay_pass(rows, l_sd, rhos, thresholds)
-        del rows  # before the next block's rows are copied
+    pick = functools.partial(_direct_pass, rhos=rhos, thresholds=thresholds)
+    for l_sd, links in _blocks(config, seed, n_samples, pick):
+        counts += _relay_pass(links, l_sd, rhos, thresholds)
+        del l_sd, links  # before the next block's links are laid out
     return [
         OutageEstimate(
             rho=rho,

@@ -266,16 +266,17 @@ def test_compare_stdout_is_pure_json(capsys):
 
 
 def test_compare_identical_variant_gap_zero(tmp_path):
+    # at (1,1,1) the static and dynamic half-duplex curves coincide
     out = tmp_path / "cmp.json"
     code = main(
         [
             "compare", "--m", "1", "--k", "1", "--n", "1",
-            "--variants", "ptp,ptp", "--r", "0:1:0.5",
+            "--variants", "hd-dynamic,hd-static", "--r", "0:1:0.5",
             "--out", str(out),
         ]
     )
     assert code == EXIT_OK
-    assert json.loads(out.read_text())["max_gaps"]["ptp|ptp"] == 0.0
+    assert json.loads(out.read_text())["max_gaps"]["hd-dynamic|hd-static"] == 0.0
 
 
 def test_compare_csv_rows(capsys):
@@ -294,6 +295,21 @@ def test_compare_needs_two_variants():
          "--variants", "ptp", "--r", "0:1:0.5"]
     )
     assert code == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("variants", ["fd,fd", "ptp,fd,hd-dynamic,fd"])
+def test_compare_refuses_a_repeated_variant(variants, capsys):
+    # one JSON column per variant name, so a repeat would leave the CSV
+    # header and the gaps (a self-pair) out of step with the JSON values
+    for output in ("json", "csv"):
+        code = main(
+            ["compare", "--m", "1", "--k", "1", "--n", "1",
+             "--variants", variants, "--r", "0,0.5", "--format", output]
+        )
+        assert code == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: compare lists a variant twice: {variants}\n"
 
 
 def test_simulate_json_and_reproducibility(tmp_path):

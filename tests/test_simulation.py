@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import importlib.util
 import itertools
@@ -33,13 +32,13 @@ from relaydmt.simulate import (
     _block_channels,
     _block_normals,
     _blocks,
-    _channels,
     _composite_grams,
     _cut_log2dets,
     _direct_pass,
     _eigen_exponent_rows,
     _links,
     _switch_and_rate,
+    _walk_channels,
 )
 
 
@@ -115,7 +114,7 @@ def test_block_normals_are_the_pinned_draws(mkn):
 def test_block_channels_are_samples_first_views_of_samples_last_links():
     c = AntennaConfig(2, 1, 3)
     count = 1000
-    block = _channels(_parts(c, channel_rng(5), count))
+    block = _block_channels(c, channel_rng(5), count)
     assert [h.shape for h in block] == [(count, 3, 2), (count, 1, 2), (count, 3, 1)]
     for h in block:
         assert h.dtype == complex
@@ -470,9 +469,12 @@ def _unpruned_recount(c, rhos, r, n, seed):
     threshold at every SNR."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     counts, undecided_total = [0] * len(rhos), 0
-    for direct, hops, _ in _blocks(c, seed, n):
-        undecided, l_sd = _direct_pass(direct(), rhos, thresholds)
-        channels = _channels((*direct(), *hops()))
+
+    def pick(direct):  # every sample, and pass 1's verdict on the block
+        return slice(None), _direct_pass(direct, rhos, thresholds)
+
+    for (undecided, l_sd), links in _blocks(c, seed, n, pick):
+        channels = tuple(link.transpose(2, 0, 1) for link in links)
         decided = np.ones(len(channels[0]), dtype=bool)
         decided[undecided] = False
         undecided_total += len(undecided)
@@ -529,7 +531,7 @@ def _fade_direct_link(monkeypatch):
 
 
 def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeypatch):
-    # pass 2 copies out nearly the whole block
+    # the walk lays out nearly the whole block for pass 2
     mkn, r, snr_db = FADED_CASE
     c, seed = AntennaConfig(*mkn), 13
     rhos = [10.0 ** (db / 10.0) for db in snr_db]
@@ -547,7 +549,7 @@ def test_pruned_counts_equal_the_unpruned_recount_on_a_faded_direct_link(monkeyp
 MEMORY_CASES = {
     "outage-222": (*PRUNE_CASES["outage-222"][:3], False, 1.3),
     "outage-333": (*PRUNE_CASES["outage-333"][:3], False, 1.42),
-    # about 99% of the samples undecided: the copied rows are a block too
+    # about 99% of the samples undecided: their links are a block too
     "faded-direct-link": (*FADED_CASE, True, 2.4),
 }
 
@@ -555,10 +557,10 @@ MEMORY_CASES = {
 @pytest.mark.parametrize("case", MEMORY_CASES)
 def test_sweep_keeps_about_one_block_in_memory(monkeypatch, case):
     # the walk's two buffers (one block of raw parts), the undecided
-    # samples' rows copied out of them and slices beside these; a
+    # samples' links laid out from them and slices beside these; a
     # block-sized link built on the caller, or a second block drawn, would
     # exceed it.  Each block's pass 2 runs only once the next block is drawn
-    # whole, so its copies always meet full buffers: the worst case of the
+    # whole, so its links always meet full buffers: the worst case of the
     # overlap.
     mkn, r, snr_db, faded, bound = MEMORY_CASES[case]
     c = AntennaConfig(*mkn)
@@ -600,8 +602,9 @@ def test_sweep_keeps_about_one_block_in_memory(monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
-# the sample walk: one thread draws each block, direct link then hops, into
-# two buffers the walk reuses
+# the sample walk: each block drawn in two stages into two buffers the walk
+# reuses, the direct link on the reader's thread and the hops on one worker;
+# the reader picks samples from the direct link and gets their links
 
 
 def _bounded(walk, seconds=60.0):
@@ -625,43 +628,50 @@ def _bounded(walk, seconds=60.0):
     return value
 
 
-def _read(direct, hops):
-    """A walked block's raw parts as (bytes, shape, strides), read before
-    the block is released."""
-    return [(p.tobytes(), p.shape, p.strides) for link in (*direct(), *hops()) for p in link]
+def _no_samples(direct):
+    """A pick of no sample: the walk then holds its buffers only."""
+    return slice(0), None
+
+
+def _every_third(direct):
+    """A pick of every third sample of the block, with the raw parts of the
+    direct link as the walk shows them, as (bytes, shape, strides)."""
+    seen = [(p.tobytes(), p.shape, p.strides) for p in direct[0]]
+    return np.arange(0, len(direct[0][0]), 3), seen
+
+
+def _read(info, links):
+    """A walked block: its info and its links' bytes as samples-first rows.
+    The links are arrays of their own, not views of the walk's buffers."""
+    assert all(link.flags.owndata and link.flags.c_contiguous for link in links)
+    return info, [link.transpose(2, 0, 1).tobytes() for link in links]
 
 
 def _serial(c, seed, sizes):
-    """``_read`` of the blocks of a walk drawn one after another, each into
-    new arrays."""
-    return [
-        [(p.tobytes(), p.shape, p.strides) for link in _parts(c, channel_rng(seed, i), size)
-         for p in link]
-        for i, size in enumerate(sizes)
-    ]
+    """``_read`` of the blocks of an ``_every_third`` walk drawn one after
+    another, each into new arrays."""
+    blocks = []
+    for i, size in enumerate(sizes):
+        direct = _parts(c, channel_rng(seed, i), size)[0]
+        rows = [h[::3].tobytes() for h in _block_channels(c, channel_rng(seed, i), size)]
+        blocks.append(([(p.tobytes(), p.shape, p.strides) for p in direct], rows))
+    return blocks
 
 
 def test_blocks_prefetch_yields_the_serial_draws():
-    # each block is read during the walk, as the next is drawn into the same
-    # buffers: once when the reader asks for the next block, once when it
-    # releases each block as soon as it has read it
+    # each block is read as the next is drawn into the same buffers, with a
+    # partial last block: ``pick`` sees the serial direct link, and the
+    # reader gets the picked samples' links, every third sample's or whole
+    # triples (``_walk_channels``), of a serial draw
     c = AntennaConfig(2, 1, 3)
     sizes = (BLOCK_SIZE, BLOCK_SIZE, 1234)
-
-    def asking():
-        return [_read(direct, hops) for direct, hops, _ in _blocks(c, 23, sum(sizes))]
-
-    def releasing():
-        walked = []
-        for direct, hops, release in _blocks(c, 23, sum(sizes)):
-            walked.append(_read(direct, hops))
-            release()
-            release()  # a second release of a block starts nothing more
-        return walked
-
-    serial = _serial(c, 23, sizes)
-    assert _bounded(asking) == serial
-    assert _bounded(releasing) == serial
+    walked = _bounded(lambda: [_read(*block) for block in _blocks(c, 23, sum(sizes), _every_third)])
+    assert walked == _serial(c, 23, sizes)
+    whole = _bounded(lambda: [[h.tobytes() for h in b] for b in _walk_channels(c, 23, sum(sizes))])
+    assert whole == [
+        [h.tobytes() for h in _block_channels(c, channel_rng(23, i), size)]
+        for i, size in enumerate(sizes)
+    ]
 
 
 def test_blocks_concurrent_walks_under_fast_switching():
@@ -672,7 +682,7 @@ def test_blocks_concurrent_walks_under_fast_switching():
     results = {}
 
     def walk(seed):
-        results[seed] = [_read(direct, hops) for direct, hops, _ in _blocks(c, seed, sum(sizes))]
+        results[seed] = [_read(*block) for block in _blocks(c, seed, sum(sizes), _every_third)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -724,36 +734,23 @@ def test_blocks_leaves_no_thread_behind():
     n = 2 * BLOCK_SIZE + 1
 
     def full(baseline):
-        threads = [threading.active_count() for _ in _blocks(c, 3, n)]
+        threads = [threading.active_count() for _ in _blocks(c, 3, n, _no_samples)]
         assert threads[0] == baseline + 1  # the draw thread runs while block 0 is held
 
     def next_and_drop(baseline):
-        next(_blocks(c, 3, n))
-
-    def direct_read_hops_drawing(baseline):
-        walk = _blocks(c, 3, n)
-        direct, _, _ = next(walk)
-        direct()
-        del walk  # the hop stage is queued or running
+        next(_blocks(c, 3, n, _no_samples))  # block 1's hops are queued or running
 
     def broken_off(baseline):
-        for _ in _blocks(c, 3, n):
-            break
-
-    def released_then_broken_off(baseline):
-        for direct, hops, release in _blocks(c, 3, n):
-            direct(), hops()
-            release()  # block 1's stages are queued
+        for _ in _blocks(c, 3, n, _no_samples):
             break
 
     def consumer_raises(baseline):
         with pytest.raises(KeyError):
-            for _ in _blocks(c, 3, n):
+            for _ in _blocks(c, 3, n, _no_samples):
                 raise KeyError("scoring failed")
 
     def single_block(baseline):
-        for direct, hops, _ in _blocks(c, 3, BLOCK_SIZE):
-            direct(), hops()
+        for _ in _blocks(c, 3, BLOCK_SIZE, _no_samples):
             assert threading.active_count() == baseline + 1  # drawn on the worker too
 
     def extra_threads_after(walk):
@@ -761,9 +758,7 @@ def test_blocks_leaves_no_thread_behind():
         walk(baseline)
         return threading.active_count() - baseline
 
-    walks = (full, next_and_drop, direct_read_hops_drawing, broken_off, released_then_broken_off,
-             consumer_raises, single_block)
-    for walk in walks:
+    for walk in (full, next_and_drop, broken_off, consumer_raises, single_block):
         assert _bounded(functools.partial(extra_threads_after, walk)) == 0, walk.__name__
 
 
@@ -775,70 +770,51 @@ def _independence(n):
     return conditional_independence_check(AntennaConfig(1, 1, 1), 100.0, n, 5, seed=1)
 
 
-def _serial_walk(config, seed, n_samples):
+def _serial_walk(config, seed, n_samples, pick):
     """``_blocks`` with neither a thread nor buffers: each block drawn into
-    new arrays on the caller's thread, and nothing to release."""
+    new arrays on the caller's thread, then its picked samples' links."""
     for index, start in enumerate(range(0, n_samples, BLOCK_SIZE)):
         parts = _parts(config, channel_rng(seed, index), min(BLOCK_SIZE, n_samples - start))
-        yield (
-            (lambda parts=parts: parts[:1]), (lambda parts=parts: parts[1:]), (lambda stage=1: None)
-        )
+        picked, info = pick(parts[:1])
+        yield info, tuple(_links(link, picked) for link in parts)
 
 
 @pytest.mark.parametrize("consume", [_sweep, _independence])
 def test_walk_readers_drop_their_block_before_the_next_draw(monkeypatch, consume):
-    # a reader works on its own copies once it releases a block.  Here each
-    # draw ends before ``submit`` returns, so a release overwrites the
-    # buffers at once: a reader that still read them would score the next
-    # block's draws.  It must get the result of a walk that draws each
-    # block into new arrays, and drop its copies of a block before it copies
-    # the next (else two blocks' copies meet the buffers).
+    # a reader owns the links the walk hands over, and must drop a block's
+    # links before the walk lays out the next block's (else two blocks'
+    # links meet the buffers).  It must get the result of a walk that draws
+    # each block into new arrays.
     n = 4 * BLOCK_SIZE
     monkeypatch.setattr(simulate, "_blocks", _serial_walk)
     serial = consume(n)
     monkeypatch.undo()
+    blocks, links = simulate._blocks, simulate._links
+    handed = []  # weak references to the links of each block handed over
+    alive_at_layout = []  # per ``_links`` call, how many of those are alive
 
-    class DrawnAtSubmit(simulate.ThreadPoolExecutor):
-        def submit(self, *args):
-            future = super().submit(*args)
-            concurrent.futures.wait([future])
-            return future
+    def tracked_blocks(*args):
+        for block in blocks(*args):
+            handed.append([weakref.ref(link) for link in block[1]])
+            yield block
+            del block
 
-    copies = []  # a weak reference to one array of each block's copies
-    held_at_copy = []
-    direct_pass, relay_pass = simulate._direct_pass, simulate._relay_pass
-    channels = simulate._channels
+    def tracked_links(*args):
+        alive_at_layout.append(sum(ref() is not None for refs in handed for ref in refs))
+        return links(*args)
 
-    def copying(copy):
-        def tracked(*args):
-            held_at_copy.append(sum(ref() is not None for ref in copies))
-            return copy(*args)
-        return tracked
-
-    def tracked_relay_pass(rows, *args):
-        copies.append(weakref.ref(rows[0][0]))
-        return relay_pass(rows, *args)
-
-    def tracked_channels(parts):
-        triple = channels(parts)
-        copies.append(weakref.ref(triple[0]))
-        return triple
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", DrawnAtSubmit)
-    # the sweep copies its rows after pass 1, the independence check its
-    # channel triples
-    monkeypatch.setattr(simulate, "_direct_pass", copying(direct_pass))
-    monkeypatch.setattr(simulate, "_relay_pass", tracked_relay_pass)
-    monkeypatch.setattr(simulate, "_channels", copying(tracked_channels))
+    monkeypatch.setattr(simulate, "_blocks", tracked_blocks)
+    monkeypatch.setattr(simulate, "_links", tracked_links)
     assert _bounded(lambda: consume(n)) == serial
-    assert len(copies) == 4 and held_at_copy == [0] * 4
+    assert len(handed) == 4 and len(alive_at_layout) >= 3 * 4
+    assert set(alive_at_layout) == {0}
 
 
-def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
+def test_blocks_hold_one_block_in_two_buffers(monkeypatch):
     # two buffers, allocated once per walk and sized by its largest block:
     # every stage of every block lands in one of them, each direct link
     # drawn on the caller's thread and all hops on one other thread, so a
-    # walk holds one block however many it yields
+    # walk that picks no sample holds one block however many it yields
     c = AntennaConfig(2, 1, 3)
     block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
     fronts, drawn_on = set(), {1: set(), 2: set()}  # by links per stage
@@ -851,11 +827,11 @@ def test_blocks_keeps_at_most_two_blocks_alive(monkeypatch):
             yield stage
 
     def walk():
-        for direct, hops, _ in _blocks(c, 5, 3 * BLOCK_SIZE + 1234):
-            direct(), hops()
+        for _ in _blocks(c, 5, 3 * BLOCK_SIZE + 1234, _no_samples):
+            pass
         return threading.get_ident()
 
-    next(_blocks(c, 5, 1000))  # lazy imports stay out of the trace
+    next(_blocks(c, 5, 1000, _no_samples))  # lazy imports stay out of the trace
     monkeypatch.setattr(simulate, "_block_normals", tracked_draw)
     tracemalloc.start()
     try:
@@ -874,125 +850,141 @@ def test_blocks_size_their_buffers_without_listing_the_blocks():
     # cost of one block: nothing is kept per block it has not reached
     c = AntennaConfig(2, 1, 3)
     block_bytes = BLOCK_SIZE * (c.n * c.m + c.k * c.m + c.n * c.k) * 16
-    next(_blocks(c, 1, 1000))  # lazy imports stay out of the trace
+    head = 256
+    next(_blocks(c, 1, 1000, _no_samples))  # lazy imports stay out of the trace
     tracemalloc.start()
     try:
-        walk = _blocks(c, 1, 10**20)
-        direct, hops, _ = next(walk)
-        links = (*direct(), *hops())
+        walk = _blocks(c, 1, 10**20, lambda direct: (slice(head), None))
+        _, links = next(walk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    serial = _parts(c, channel_rng(1, 0), BLOCK_SIZE)
-    assert [p.tobytes() for link in links for p in link] == [
-        p.tobytes() for link in serial for p in link
-    ]
+    serial = _block_channels(c, channel_rng(1, 0), BLOCK_SIZE)
+    assert _read(None, links)[1] == [h[:head].tobytes() for h in serial]
     walk.close()
     assert block_bytes <= peak <= 1.02 * block_bytes, f"peak {peak / block_bytes:.3f} blocks"
 
 
 def test_blocks_drops_its_reference_before_it_waits():
-    # once it hands over block i+1, the walk keeps nothing of block i: the
-    # reader alone decides how long block i's stages live
-    def walk():
-        blocks = _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE)
-        direct, hops, _ = next(blocks)
-        direct(), hops()
-        futures = [weakref.ref(stage.__self__) for stage in (direct, hops)]
-        del direct, hops
-        next(blocks)
-        return [ref() for ref in futures]
+    # once the reader drops block i, the walk keeps nothing of it: not its
+    # pick, its info or its links, already when it picks block i+1
+    picks = []  # weak references to each block's picked samples and info
+    dead_at_pick = []
 
-    assert _bounded(walk) == [None, None]
+    def pick(direct):
+        dead_at_pick.append([ref() is None for refs in picks for ref in refs])
+        picked, info = np.arange(0, len(direct[0][0]), 2), np.ones(3)
+        picks.append([weakref.ref(picked), weakref.ref(info)])
+        return picked, info
+
+    def walk():
+        blocks = _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE, pick)
+        info, links = next(blocks)
+        refs = [weakref.ref(a) for a in (info, *links)]
+        del info, links
+        next(blocks)
+        return [ref() for ref in refs]
+
+    assert _bounded(walk) == [None] * 4
+    assert dead_at_pick == [[], [True, True]]
 
 
 def test_blocks_hand_over_the_direct_link_while_the_hops_are_drawn(monkeypatch):
-    # with the hop stage held back, ``direct()`` returns and ``hops()`` waits
-    gate = threading.Event()
-    draw = simulate._block_normals
-
-    def gated_draw(*args):
-        stages = draw(*args)
-        yield next(stages)
-        assert gate.wait(60.0)
-        yield from stages
-
-    def walk():
-        pending = []
-        for direct, hops, _ in _blocks(AntennaConfig(1, 1, 1), 5, 2 * BLOCK_SIZE + 1):
-            direct()
-            pending.append(not hops.__self__.done())
-            gate.set()
-            hops()
-            gate.clear()
-        return pending
-
-    monkeypatch.setattr(simulate, "_block_normals", gated_draw)
-    assert _bounded(walk) == [True] * 3
-
-
-def test_blocks_draw_the_next_direct_link_while_the_hops_are_drawn(monkeypatch):
-    # with block 0's hop stage held on the worker, ``release(0)`` returns
-    # with block 1's direct link drawn on the caller's thread, equal to a
-    # serial draw; block 1's hops are queued only at ``release()``
-    c = AntennaConfig(2, 1, 3)
-    sizes = (BLOCK_SIZE, 1234)
-    held, gate = threading.Event(), threading.Event()
-    drawn = {}  # (block, stage) -> the drawing thread and the stage's bytes
-    submitted = []
+    # each block's hop stage is held on the worker until the block's pick
+    # has run: ``pick`` reads the direct link while the hops are drawn
+    gates = [threading.Event() for _ in range(3)]
+    hops_drawn, picked_first = [], []
     draw, made = simulate._block_normals, itertools.count()
 
     def gated_draw(*args):
-        block = next(made)
-        for stage, links in enumerate(draw(*args)):
-            if (block, stage) == (0, 1):
-                held.set()
-                assert gate.wait(60.0)
-            drawn[block, stage] = threading.get_ident(), [p.tobytes() for l in links for p in l]
-            yield links
+        block, stages = next(made), draw(*args)
+        yield next(stages)
+        assert gates[block].wait(20.0)
+        hops = next(stages)
+        hops_drawn.append(block)
+        yield hops
 
-    class Counted(simulate.ThreadPoolExecutor):
+    def pick(direct):
+        block = len(picked_first)
+        picked_first.append(block not in hops_drawn)
+        gates[block].set()
+        return _no_samples(direct)
+
+    monkeypatch.setattr(simulate, "_block_normals", gated_draw)
+    _bounded(lambda: list(_blocks(AntennaConfig(1, 1, 1), 5, 2 * BLOCK_SIZE + 1, pick)))
+    assert picked_first == [True] * 3 and hops_drawn == [0, 1, 2]
+
+
+def test_blocks_draw_the_next_direct_link_while_the_hops_are_drawn(monkeypatch):
+    # block 0's hop stage is held on the worker until block 1's direct link
+    # is drawn: the walk draws that on the caller's thread before it waits
+    # for block 0's hops, lays out block 0's hop links once they are drawn,
+    # and only then starts block 1's hops; each stage a serial draw
+    c = AntennaConfig(2, 1, 3)
+    sizes = (BLOCK_SIZE, 1234)
+    direct_1 = threading.Event()
+    log = []  # the walk's steps in order, each draw with its thread
+    draw, links, made = simulate._block_normals, simulate._links, itertools.count()
+
+    def gated_draw(*args):
+        block, stages = next(made), draw(*args)
+        for stage in range(2):
+            if (block, stage) == (0, 1):
+                assert direct_1.wait(20.0)
+            drawn = next(stages)
+            log.append(("draw", block, stage, threading.get_ident()))
+            if (block, stage) == (1, 0):
+                direct_1.set()
+            yield drawn
+
+    class Logged(simulate.ThreadPoolExecutor):
         def submit(self, *args):
-            submitted.append(1)
+            log.append(("submit",))
             return super().submit(*args)
 
+    def logged_links(parts, picked):
+        log.append(("links", parts[0].shape[1:]))
+        return links(parts, picked)
+
+    def pick(direct):
+        log.append(("pick",))
+        return _every_third(direct)
+
     def walk():
-        caller = threading.get_ident()
-        blocks = _blocks(c, 23, sum(sizes))
-        try:
-            direct, hops, release = next(blocks)
-            direct_0 = [p.tobytes() for link in direct() for p in link]
-            assert held.wait(60.0)
-            release(0)
-            assert not hops.__self__.done() and len(submitted) == 1
-            assert drawn[1, 0] == (caller, [b for b, _, _ in serial[1][:2]])
-        finally:
-            gate.set()
-        hops_0 = [p.tobytes() for link in hops() for p in link]
-        assert [direct_0 + hops_0] == [[b for b, _, _ in serial[0]]]
-        assert len(submitted) == 1  # block 1's hops wait for the release
-        release()
-        assert len(submitted) == 2
-        assert [_read(*next(blocks)[:2])] == serial[1:]
-        assert drawn[0, 1][0] == drawn[1, 1][0] != caller
+        walked = []
+        for block in _blocks(c, 23, sum(sizes), pick):
+            log.append(("yield",))
+            walked.append(_read(*block))
+        return threading.get_ident(), walked
 
     serial = _serial(c, 23, sizes)
     monkeypatch.setattr(simulate, "_block_normals", gated_draw)
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Counted)
-    _bounded(walk)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Logged)
+    monkeypatch.setattr(simulate, "_links", logged_links)
+    caller, walked = _bounded(walk)
+    assert walked == serial
+    hops = [step for step in log if step[0] == "draw" and step[2] == 1]
+    assert len({step[3] for step in hops}) == 1 and hops[0][3] != caller
+    block = [("pick",), ("links", (3, 2)), ("links", (1, 2)), ("links", (3, 1)), ("yield",)]
+    steps = [step[:3] if step[0] == "draw" else step for step in log if step not in hops]
+    assert steps == [
+        ("draw", 0, 0), ("submit",), *block[:2], ("draw", 1, 0), *block[2:4], ("submit",),
+        block[4], *block,
+    ]
+    assert log.index(("draw", 1, 0, caller)) < log.index(hops[0]) < log.index(block[2])
+    assert log.index(hops[1]) > len(log) - log[::-1].index(("submit",)) - 1
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["block 0", "block 1", "last block"])
 def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
-    # the direct stage or the hop stage of the block fails.  A direct link
-    # fails on the reader's thread, and the reader gets the error from the
-    # walk, or from ``release(0)`` if it releases the block before; a hop
-    # stage fails on the worker, and the reader gets it from ``hops()``
+    # the direct stage, the hop stage or the pick of the block fails.  A
+    # direct link is drawn and picked on the reader's thread, a hop stage on
+    # the worker; either way the reader gets the error from the walk
     draw = simulate._block_normals
-    for stage, releasing in itertools.product((0, 1), (False, True)):
-        error = OSError(f"stage {stage} of block {failing} failed")
+    for stage in (0, 1, "pick"):
+        error = OSError(f"{stage} of block {failing} failed")
         drawn, failed_on = set(), []  # the (block, stage) drawn; the failing thread
-        made = itertools.count()
+        made, picks = itertools.count(), itertools.count()
 
         def failing_draw(*args):
             block, stages = next(made), draw(*args)
@@ -1003,33 +995,36 @@ def test_blocks_raises_a_draw_error_in_the_caller(monkeypatch, failing):
                 drawn.add((block, s))
                 yield next(stages)
 
+        def pick(direct):
+            if (next(picks), stage) == (failing, "pick"):
+                failed_on.append(threading.get_ident())
+                raise error
+            return _no_samples(direct)
+
         def walk():
             baseline = threading.active_count()
             with pytest.raises(OSError) as raised:
-                for direct, hops, release in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE):
-                    direct()
-                    if releasing:
-                        release(0)
-                    hops()
+                for _ in _blocks(AntennaConfig(1, 1, 1), 5, 3 * BLOCK_SIZE, pick):
+                    pass
             return raised.value, threading.get_ident(), threading.active_count() - baseline
 
         monkeypatch.setattr(simulate, "_block_normals", failing_draw)
         raised, reader, extra_threads = _bounded(walk)
-        case = (stage, releasing)
         # the same error object, no thread left behind, no stage drawn after it
-        assert raised is error and extra_threads == 0, case
-        assert len(failed_on) == 1 and (failed_on[0] == reader) == (stage == 0), case
+        assert raised is error and extra_threads == 0, stage
+        assert len(failed_on) == 1 and (failed_on[0] == reader) == (stage != 1), stage
         before = {(block, s) for block in range(failing) for s in (0, 1)}
-        before |= {(failing, 0)} if stage else set()
-        if stage == 0 and releasing and failing:
+        if stage == 0:
             # the hops of the block before may be cancelled before they start
-            assert drawn in (before, before - {(failing - 1, 1)}), case
-        elif stage == 1 and releasing and failing < 2:
-            # the next block's direct link was drawn at ``release(0)``, before
-            # ``hops()`` failed
-            assert drawn == before | {(failing + 1, 0)}, case
+            assert drawn in (before, before - {(failing - 1, 1)}), stage
+        elif stage == 1:
+            # the next block's direct link is drawn before the walk waits for
+            # the hops that failed
+            after = {(failing + 1, 0)} if failing < 2 else set()
+            assert drawn == before | {(failing, 0)} | after, stage
         else:
-            assert drawn == before, case
+            # the block's own hops may be cancelled before they start
+            assert drawn in (before | {(failing, 0), (failing, 1)}, before | {(failing, 0)}), stage
 
 
 def test_single_block_readers_score_the_serial_draw(monkeypatch, capsys):
