@@ -50,9 +50,10 @@ _GRID_CELLS = 231**3
 # kink lines the dynamic engine builds at most: the count at (256,256,256),
 # ten family pairs of 257 x 257 planes
 _KINK_LINES = 10 * 257**2
-# profile entries the static engine scores per r at most: the count at
-# (256,256,256), 6 x 257 breakpoints, each with a profile of length 256
-_STATIC_ENTRIES = 6 * 257 * 256
+# candidates the static engine scores per r at most, 6 x 65,792 breakpoints
+# at max(m, n) = 65,791; the value, 6 x 257 x 256, keeps every configuration
+# solvable that a cap of that many profile entries per r admitted
+_STATIC_CELLS = 6 * 257 * 256
 
 
 class SolverRefusal(RuntimeError):
@@ -82,24 +83,50 @@ class SolveResult:
 # exact two-level solver: vectorised objective and vertex enumeration
 
 
-def _profile_rows(levels: np.ndarray, length: int) -> np.ndarray:
-    """Row-wise exponent profiles for an array of levels."""
-    idx = np.arange(length, dtype=float)
-    return np.maximum(1.0 - np.maximum(levels[:, None] - idx[None, :], 0.0), 0.0)
+def _objective_levels(config: AntennaConfig, a, b, s) -> np.ndarray:
+    """``diversity_objective`` of the profiles of the levels a, b and s, in
+    closed form: O(1) per candidate.  a is clipped to [0, u] first, as
+    :func:`_best_vertex` admits it within ``_ROOT_TOL`` of its range.
 
+    The profile of a level x on L entries is 0 below A = floor(x) (capped at
+    L - 1), 1 - f at A, with f = x - A, and 1 above.  So its dot with the
+    weights c - 2i is (L - A - 1)(c - L - A) + (1 - f)(c - 2A).  A hinge
+    (1 - alpha_i - beta_j)^+ of the direct level's A, f_a and the in-hop
+    level's B, f_b takes one of five values:
 
-def _objective_rows(config: AntennaConfig, pa, pb, pd) -> np.ndarray:
-    """Objective on stacked profile rows; mirrors core.diversity_objective."""
-    obj_alpha, _, w_beta, w_delta, ab_pairs, ad_pairs = config._coeffs
-    total = pa @ np.asarray(obj_alpha)
-    total += pb @ np.asarray(w_beta)
-    total += pd @ np.asarray(w_delta)
-    total -= 2.0 * config.k * config.u
-    for i, j in ab_pairs:
-        total += np.maximum(1.0 - pa[:, i] - pb[:, j], 0.0)
-    for i, l in ad_pairs:
-        total += np.maximum(1.0 - pa[:, i] - pd[:, l], 0.0)
-    return total
+    - 1 where i < A and j < B, both entries 0;
+    - f_b where i < A and j = B;
+    - f_a where i = A and j < B;
+    - (f_a + f_b - 1)^+ where i = A and j = B;
+    - 0 where i > A or j > B, an entry 1.
+
+    The pairs run over i + j <= m - 2, and A, B <= m - 1.  So the ones number
+    A B - T(A + B - m), with T(y) = y^+ (y^+ + 1)/2 the pairs of the A x B
+    block past that diagonal; the f_b edge has min(m - 1 - B, A) pairs, the
+    f_a edge min(m - 1 - A, B), and the corner is a pair if A + B <= m - 2.
+    The pairs of a and s with n take the same form.  The terms add in the
+    scalar function's order: the three dots, -2ku, then the hinges.
+    """
+    m, k, n, u = config.m, config.k, config.n, config.u
+    x = np.array([np.minimum(np.maximum(a, 0.0), u), b, s])
+    length = np.array([[u], [config.p], [config.q]], dtype=float)
+    c = np.array([[n + m + 2 * k - 1], [k + m - 1], [k + n - 1]], dtype=float)
+    whole = np.minimum(np.floor(x), length - 1.0)
+    frac = x - whole
+    dots = (length - whole - 1.0) * (c - length - whole) + (1.0 - frac) * (c - 2.0 * whole)
+    total = dots[0] + dots[1] + dots[2] - 2.0 * k * u
+    # row 0 the (a, b) pairs under m, row 1 the (a, s) pairs under n
+    A, B, fa, fb = whole[0], whole[1:], frac[0], frac[1:]
+    top = np.array([[m - 1.0], [n - 1.0]])
+    over = A + B - top
+    past = np.maximum(over - 1.0, 0.0)
+    hinges = (
+        (A * B - past * (past + 1.0) / 2.0)
+        + fb * np.minimum(top - B, A)
+        + fa * np.minimum(top - A, B)
+        + np.where(over < 0.0, np.maximum(fa + fb - 1.0, 0.0), 0.0)
+    )
+    return total + hinges[0] + hinges[1]
 
 
 # kink planes n . (a, b, s) = c of the reduced objective, one row of n per
@@ -226,7 +253,8 @@ def solve_two_var(config: AntennaConfig, r: float) -> SolveResult:
 
 def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
     """Score the candidates with 0 <= a <= r[group] inside the level caps,
-    with the ``_ROOT_TOL`` dust clipped, and keep the least per r; ties
+    with the ``_ROOT_TOL`` dust clipped, on their levels in closed form
+    (:func:`_objective_levels`), and keep the least per r; ties
     within 1e-9 go to the smallest a, then b, then s, so d, a, b and s
     depend only on the set of candidates, not on their order or repeats.
     Returns the columns d, a, b, s and evaluations, one entry per r."""
@@ -243,12 +271,7 @@ def _best_vertex(config: AntennaConfig, r: np.ndarray, group, a, b, s):
     group, a = group[inside], a[inside]
     b = np.minimum(np.maximum(b[inside], 0.0), b_cap[inside])
     s = np.minimum(np.maximum(s[inside], 0.0), s_cap[inside])
-    values = _objective_rows(
-        config,
-        _profile_rows(a, config.u),
-        _profile_rows(b, config.p),
-        _profile_rows(s, config.q),
-    )
+    values = _objective_levels(config, a, b, s)
     least = np.full(len(r), np.inf)
     np.minimum.at(least, group, values)
     near = np.flatnonzero(values <= least[group] + 1e-9)
@@ -312,12 +335,12 @@ def solve_static(config: AntennaConfig, r: float) -> SolveResult:
 def _static_cells(config: AntennaConfig) -> int:
     """Candidate cells one r adds to a static pass: three kink families on
     each static plane, an exact count, as the breakpoints are scored with
-    their repeats.  Refuses past ``_STATIC_ENTRIES`` profile entries (the
-    cells times the longest profile), counted before any array is built."""
+    their repeats.  Each candidate is scored on its levels alone, so the
+    count bounds every array of a one-r solve; it refuses past
+    ``_STATIC_CELLS``, counted before any array is built."""
     cells = 6 * (max(config.m, config.n) + 1)
-    entries = cells * max(config.u, config.p, config.q)
-    if entries > _STATIC_ENTRIES:
-        raise SolverRefusal(f"static engine refuses {entries} profile entries > {_STATIC_ENTRIES}")
+    if cells > _STATIC_CELLS:
+        raise SolverRefusal(f"static engine refuses {cells} candidates > {_STATIC_CELLS}")
     return cells
 
 

@@ -169,10 +169,9 @@ def test_curve_refuses_an_oversize_dynamic_engine_before_it_allocates(mkn, capsy
     assert seconds < 1.0 and peak < 1 << 20
 
 
-@pytest.mark.parametrize("mkn", [(5000, 5000, 5000), (257, 257, 257)])
+@pytest.mark.parametrize("mkn", [(65792, 1, 1), (10**6, 10**6, 10**6)])
 def test_curve_refuses_an_oversize_static_engine_before_it_allocates(mkn, capsys):
-    # 150,030,000 and 397,836 profile entries against the cap's 394,752; the
-    # first asked numpy for a 763 MiB profile array before the cap
+    # 394,758 and 6,000,006 candidates per r against the cap's 394,752
     argv = ["curve", "--variants", "hd-static", "--r", "1",
             "--m", str(mkn[0]), "--k", str(mkn[1]), "--n", str(mkn[2])]
     tracemalloc.start()
@@ -184,7 +183,7 @@ def test_curve_refuses_an_oversize_static_engine_before_it_allocates(mkn, capsys
     finally:
         tracemalloc.stop()
     assert code == EXIT_SOLVER_REFUSED
-    assert "profile entries > 394752" in capsys.readouterr().err
+    assert "candidates > 394752" in capsys.readouterr().err
     assert seconds < 1.0 and peak < 1 << 20
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -681,38 +682,92 @@ def test_kink_line_cap_is_the_count_at_256_cubed(monkeypatch):
 
 @pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 7), (60, 1, 1), (1, 1, 60)])
 def test_static_cap_bounds_the_profile_rows_a_solve_builds(mkn, monkeypatch):
-    # the count the cap reads bounds every profile array of a one-r solve,
-    # and a config at the cap solves: only a count past it refuses
+    # no profile is built: the count the cap reads bounds every level array
+    # the objective receives in a one-r solve, and a config at the cap
+    # solves; only a count past it refuses, before the objective runs
     c = AntennaConfig(*mkn)
-    entries = solvers._static_cells(c) * max(c.u, c.p, c.q)
-    built = []
-    rows = solvers._profile_rows
+    cells = solvers._static_cells(c)
+    scored = []
+    objective = solvers._objective_levels
 
-    def counted_rows(levels, length):
-        built.append(len(levels) * length)
-        return rows(levels, length)
+    def counted(config, *levels):
+        scored.extend(len(x) for x in levels)
+        return objective(config, *levels)
 
-    monkeypatch.setattr(solvers, "_profile_rows", counted_rows)
-    monkeypatch.setattr(solvers, "_STATIC_ENTRIES", entries)
+    monkeypatch.setattr(solvers, "_objective_levels", counted)
+    monkeypatch.setattr(solvers, "_STATIC_CELLS", cells)
     assert solve_static(c, c.max_mux / 2).evaluations > 0
-    assert 0 < max(built) <= entries
-    monkeypatch.setattr(solvers, "_STATIC_ENTRIES", entries - 1)
-    built.clear()
-    with pytest.raises(SolverRefusal, match=f"refuses {entries} profile entries"):
+    assert 0 < max(scored) <= cells
+    monkeypatch.setattr(solvers, "_STATIC_CELLS", cells - 1)
+    scored.clear()
+    with pytest.raises(SolverRefusal, match=f"refuses {cells} candidates"):
         solve_static(c, c.max_mux / 2)
-    assert built == []
+    assert scored == []
 
 
 def test_static_cap_is_the_count_at_256_cubed():
-    # the count grows with each of m, k and n, so every config up to
-    # (256,256,256) passes the cap; one past it refuses
-    cap = solvers._STATIC_ENTRIES
-    assert cap == 394_752
-    for mkn in itertools.product((1, 2, 17, 128, 255, 256), repeat=3):
+    # the cap is 6 x 257 x 256, the profile-entry count of (256,256,256),
+    # read as candidates per r: a config within that many profile entries is
+    # within that many candidates, and with max(u, p, q) = 1 the two counts
+    # agree, so (65791,1,1) is at the cap and (65792,1,1) past it
+    cap = solvers._STATIC_CELLS
+    assert cap == 6 * 257 * 256 == 394_752
+    for mkn in itertools.product((1, 2, 17, 128, 256, 257, 5000), repeat=3):
         solvers._static_cells(AntennaConfig(*mkn))
-    assert solvers._static_cells(AntennaConfig(256, 256, 256)) * 256 == cap
-    with pytest.raises(SolverRefusal, match="refuses 397836 profile entries"):
-        solve_static(AntennaConfig(257, 257, 257), 1.0)
+    assert solvers._static_cells(AntennaConfig(65791, 1, 1)) == cap
+    with pytest.raises(SolverRefusal, match="refuses 394758 candidates > 394752"):
+        solve_static(AntennaConfig(65792, 1, 1), 1.0)
+    with pytest.raises(SolverRefusal, match="refuses 394758 candidates"):
+        solve_static(AntennaConfig(1, 1, 65792), 1.0)
+
+
+def test_static_engine_solves_5000_cubed_on_levels_alone():
+    # a one-r solve scores 30,006 candidates in closed form, with no O(u p)
+    # pair table, so it takes milliseconds and a few MiB
+    c = AntennaConfig(5000, 5000, 5000)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        (point,) = dmt_curve(c, "hd-static", [1.0]).points
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 8 << 20
+    assert ptp_dmt(5000, 5000, 1.0) <= point.d <= fd_dmt(c, 1.0)
+    assert "_coeffs" not in c.__dict__
+
+
+def _reference_levels(c, rng, count):
+    """Random, integer and cap levels of each link, and a within float dust
+    outside [0, u], which the objective clips."""
+    tops = np.array([c.u, c.p, c.q], dtype=float)
+    rows = [rng.random((count, 3)) * tops, rng.integers(0, tops + 1, (count, 3)).astype(float)]
+    rows.append(np.array([tops, np.zeros(3), [c.u, 0.0, c.q], [0.0, c.p, 0.0]]))
+    dust = rng.random((4, 3)) * tops
+    dust[:, 0] = [-1e-13, -1e-13, c.u + 1e-13, c.u + 1e-13]
+    rows.append(dust)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize(
+    "mkns, count, rel",
+    [(list(itertools.product(range(1, 7), repeat=3)), 12, 0.0),
+     ([(24, 24, 24), (60, 1, 1), (1, 1, 60), (7, 3, 40)], 40, 1e-12)],
+    ids=["1-6", "large"],
+)
+def test_objective_levels_matches_the_scalar_objective_on_profiles(mkns, count, rel):
+    rng = np.random.default_rng(31)
+    for mkn in mkns:
+        c = AntennaConfig(*mkn)
+        levels = _reference_levels(c, rng, count)
+        closed = solvers._objective_levels(c, *levels.T)
+        scalar = [
+            diversity_objective(c, ExponentTriple(
+                exponent_profile(a, c.u), exponent_profile(b, c.p), exponent_profile(s, c.q)))
+            for a, b, s in levels.tolist()
+        ]
+        assert closed.tolist() == pytest.approx(scalar, rel=rel, abs=1e-12), mkn
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
