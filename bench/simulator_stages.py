@@ -1,4 +1,4 @@
-"""Stage-by-stage timing and peak memory of the outage simulator.
+"""Stage-by-stage timing of the outage simulator.
 
 Times the stages of a block of ``BLOCK_SIZE`` samples, each in isolation:
 the raw Philox draw in its two stages, the direct link (the reader's draw)
@@ -14,8 +14,8 @@ for the configurations (1,1,1) .. (4,4,4).  It times a
 of one).  For the two outage workloads of the benchmark it splits a 4-block
 (262,144-sample), 5-SNR sweep into the serial raw draw of its blocks (and of
 their two stages), each scoring pass alone on the drawn blocks and the
-gather of the undecided samples' rows between them (as the tree's walk
-hands them to pass 2), beside the wall time of the
+gather of the undecided samples' links between them (as the walk hands
+them to pass 2), beside the wall time of the
 ``outage_probabilities`` call, which overlaps drawing and scoring: pass 1
 builds the direct link and cut of every sample, pass 2 the links and relay
 cuts of the samples whose direct link falls short of the threshold (their
@@ -30,35 +30,23 @@ threads ran at once, CPU time equal to it a host that ran them in turn.
     python bench/simulator_stages.py --src src --src /path/to/parent/src \\
         --label change --label parent --repeats 5 --out BENCH_<pr>.json
 
-It also probes the peak memory of the two workload sweeps in fresh
-processes, ``--rss-processes`` of them (default 10; 0 skips the probe) per
-tree, configuration and import set: each imports numpy and relaydmt, with
-and without ``scipy.stats`` (which perfbench's worker imports), reads its
-peak RSS, runs 20 sweeps (seeds 1-20) and reports how far its peak RSS
-grew.  The probe calls ``outage_probabilities`` only, so it runs on any tree;
-``--repeats 0`` skips the stage timing, for a tree this script cannot time.
-
-``--repeats R`` runs R rounds of stage timing.  A round times every tree
-once, each in a fresh interpreter that imports ``relaydmt`` from that tree
-(so two versions of the package never share a process), and every other
-round takes the trees in reverse order, so a host that drifts between speed
-states weighs on every tree alike.  A process times each stage once; the report keeps each stage's
-minimum over the rounds and checks that the work counts agree across them.  A
-tree from before the two-stage draw (no ``simulate._stage_links``) is timed
-with that commit's copy of this script.  The memory probe alternates the
-trees the same way, process by process.
+``--repeats R`` (at least 1) runs R rounds.  A round times every tree once,
+each in a fresh interpreter that imports ``relaydmt`` from that tree (so two
+versions of the package never share a process), and every other round takes
+the trees in reverse order, so a host that drifts between speed states
+weighs on every tree alike.  A process times each stage once; the report
+keeps each stage's minimum over the rounds and checks that the work counts
+agree across them.  A tree from before its ``_blocks`` took a ``pick`` is
+timed with that commit's copy of this script.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
 import platform
-import resource
-import statistics
 import subprocess
 import sys
 import time
@@ -72,8 +60,6 @@ SCALAR_CALLS = 200
 # the outage workloads of perfbench: (m, k, n) -> (r, SNR grid in dB)
 WORKLOAD_SWEEPS = {(2, 2, 2): (1.5, (15, 20, 25, 30, 35)), (3, 3, 3): (2.9, (20, 25, 30, 35, 40))}
 SWEEP_BLOCKS = 4
-# sweeps per memory-probe process
-RSS_SWEEPS = 20
 
 
 def _time(fn) -> float:
@@ -199,39 +185,30 @@ def measure_sweeps() -> dict:
 def _measure_passes(sim, drawn, rhos, r) -> dict:
     """The two scoring passes of the outage sweep over blocks drawn
     beforehand, each timed alone: pass 1 (the direct link and cut at every
-    SNR), the gather of the undecided samples' rows as the tree's walk
-    hands them to pass 2, and pass 2 (the relay cuts of those samples, from
-    what was gathered); the link build of both passes alone; and the
-    undecided share of the samples at each SNR and over the whole grid.
-    The walk gathers the three links of the undecided samples (``_links``);
-    a tree from before it took a ``pick`` gathers their raw rows, and its
-    pass 2 builds their links one ``_CHUNK`` slice at a time."""
+    SNR), the gather of the undecided samples' three links (``_links``) as
+    the walk hands them to pass 2, and pass 2 (the relay cuts of those
+    samples); the link build of both passes alone; and the undecided share
+    of the samples at each SNR and over the whole grid."""
     thresholds = np.array([r * math.log2(rho) for rho in rhos])
     decided = [sim._direct_pass(parts, rhos, thresholds) for parts in drawn]
     count = sum(len(parts[0][0]) for parts in drawn)
     short = sum((l_sd < thresholds[:, None]).sum(axis=1) for _, l_sd in decided)
-    hand_over = "pick" in inspect.signature(sim._blocks).parameters
 
     def gather():
         return [
-            [sim._links(link, undecided) if hand_over else tuple(p[undecided] for p in link)
-             for link in parts]
+            [sim._links(link, undecided) for link in parts]
             for parts, (undecided, _) in zip(drawn, decided)
         ]
 
     gathered = gather()
 
     def links():
-        for parts, rows, (undecided, _) in zip(drawn, gathered, decided):
+        for parts, (undecided, _) in zip(drawn, decided):
             # pass 1 builds the block's direct link a slice at a time
             for start in range(0, len(parts[0][0]), sim._CHUNK):
                 sim._links(parts[0], slice(start, start + sim._CHUNK))
-            for link, row in zip(parts, rows):  # then the undecided samples' links
-                if hand_over:
-                    sim._links(link, undecided)
-                else:
-                    for start in range(0, len(undecided), sim._CHUNK):
-                        sim._links(row, slice(start, start + sim._CHUNK))
+            for link in parts:  # then the undecided samples' links
+                sim._links(link, undecided)
 
     return {
         "pass1_ms": 1e3 * _time(
@@ -247,40 +224,6 @@ def _measure_passes(sim, drawn, rhos, r) -> dict:
         "links_ms": 1e3 * _time(links),
         "undecided_per_snr": (short / count).tolist(),
         "undecided_any_snr": sum(len(undecided) for undecided, _ in decided) / count,
-    }
-
-
-def probe_rss(mkn, scipy_stats: bool) -> float:
-    """The growth of this fresh process's peak RSS, in MB, over
-    ``RSS_SWEEPS`` workload sweeps of ``mkn`` (seeds 1, 2, ...), counted
-    from its peak after the imports: numpy, relaydmt and, with
-    ``scipy_stats``, ``scipy.stats``, as perfbench's worker imports it."""
-    if scipy_stats:
-        import scipy.stats  # noqa: F401
-    from relaydmt import AntennaConfig, outage_probabilities
-    from relaydmt.simulate import BLOCK_SIZE
-
-    config = AntennaConfig(*mkn)
-    r, snr_db = WORKLOAD_SWEEPS[mkn]
-    rhos = [10.0 ** (db / 10.0) for db in snr_db]
-    count = SWEEP_BLOCKS * BLOCK_SIZE
-    baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    for seed in range(1, RSS_SWEEPS + 1):
-        outage_probabilities(config, rhos, r, count, seed)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - baseline) / 1024.0
-
-
-def _rss_report(runs: list, mkn) -> dict:
-    """One group of memory-probe processes of ``mkn``: their growths in MB,
-    the median, and how many ran in the high mode, at least half a block
-    (65,536 samples of raw parts) above the group's least growth."""
-    m, k, n = mkn
-    block_mb = 65536 * (n * m + k * m + n * k) * 16 / 2**20
-    low = min(runs)
-    return {
-        "growth_mb": runs,
-        "median_mb": statistics.median(runs),
-        "high_mode": sum(run >= low + block_mb / 2 for run in runs),
     }
 
 
@@ -314,44 +257,27 @@ def main(argv=None) -> int:
                         help="a source tree's src directory; repeat to compare trees")
     parser.add_argument("--label", action="append", help="a name per --src (default: the path)")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--rss-processes", type=int, default=10)
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--probe", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure or args.probe:
+    if args.measure:
         sys.path.insert(0, os.path.abspath(args.src[0]))
-        if args.probe:
-            *mkn, scipy_stats = map(int, args.probe.split(","))
-            print(json.dumps(probe_rss(tuple(mkn), bool(scipy_stats))))
-        else:
-            print(json.dumps({"blocks": measure(), "sweeps": measure_sweeps()}))
+        print(json.dumps({"blocks": measure(), "sweeps": measure_sweeps()}))
         return 0
     labels = args.label or args.src
     if len(labels) != len(args.src):
         parser.error("give one --label per --src")
-    if args.repeats < 0 or args.rss_processes < 0:
-        parser.error("--repeats and --rss-processes must not be negative")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     trees = list(zip(labels, args.src))
-
-    def fresh(src, *mode):
-        run = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), *mode, "--src", src],
-            capture_output=True, text=True, check=True,
-        )
-        return json.loads(run.stdout)
-
     rounds = {label: [] for label in labels}
     for index in range(args.repeats):
         for label, src in trees[::-1] if index % 2 else trees:
-            rounds[label].append(fresh(src, "--measure"))
-    groups = [(mkn, scipy_stats) for mkn in WORKLOAD_SWEEPS for scipy_stats in (0, 1)]
-    probes = {(label, *group): [] for label in labels for group in groups}
-    for index in range(args.rss_processes):
-        for label, src in trees[::-1] if index % 2 else trees:
-            for mkn, scipy_stats in groups:
-                probe = ",".join(map(str, (*mkn, scipy_stats)))
-                probes[label, mkn, scipy_stats].append(fresh(src, "--probe", probe))
+            run = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--measure", "--src", src],
+                capture_output=True, text=True, check=True,
+            )
+            rounds[label].append(json.loads(run.stdout))
     report = {
         "method": (
             f"{args.repeats} rounds, each timing every tree once in a fresh process, in "
@@ -365,15 +291,11 @@ def main(argv=None) -> int:
             "scoring, and sweep_cpu_ms the process CPU time of that same call (above "
             "sweep_ms where the walk's two threads ran at once); "
             "pass1_ms and pass2_ms time each scoring pass alone on the drawn blocks, "
-            "gather_ms the gather of the undecided samples' rows between them as the tree's "
-            "walk hands them to pass 2 (their three links laid out by _links; in a tree "
-            "whose _blocks takes no pick, raw row copies whose links pass 2 builds); "
-            "reader_ms is the work of "
+            "gather_ms the gather of the undecided samples' three links (_links) between "
+            "them as the walk hands them to pass 2; reader_ms is the work of "
             "the walk's reading thread (direct_draw_ms + pass1_ms + gather_ms + pass2_ms) and "
             "worker_ms that of its draw worker (hops_draw_ms), bound_by the larger, which "
-            "sets the sweep's pace where the reader draws the direct links (a walk whose "
-            "worker draws both stages gives it draw_ms against pass1_ms + gather_ms + "
-            "pass2_ms); links_ms "
+            "sets the sweep's pace; links_ms "
             "the link build inside them (direct link per slice, undecided samples' links per "
             "gather), and undecided_per_snr / undecided_any_snr give the share of samples "
             "whose direct link falls short of r log2(rho) at each SNR / at any; per block, "
@@ -386,32 +308,11 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "trees": {label: _merge(runs) for label, runs in rounds.items() if runs},
+        "trees": {label: _merge(runs) for label, runs in rounds.items()},
     }
     for tree in report["trees"].values():
         for sweep in tree["sweeps"].values():
             sweep["bound_by"] = max(("reader", "worker"), key=lambda t: sweep[t + "_ms"])
-    if args.rss_processes:
-        report["rss_method"] = (
-            f"{args.rss_processes} fresh processes per tree, configuration and import set, "
-            "the trees alternated process by process; each imports numpy and relaydmt "
-            "(with_scipy_stats: and scipy.stats, as perfbench's worker does), reads its peak "
-            f"RSS, runs {RSS_SWEEPS} workload sweeps ({SWEEP_BLOCKS} blocks, 5 SNRs, seeds "
-            f"1-{RSS_SWEEPS}) and reports the growth of its peak RSS in MB; high_mode counts "
-            "the processes at least half a block above the least growth of their group"
-        )
-        report["rss"] = {
-            label: {
-                "%d,%d,%d" % mkn: {
-                    ("with" if scipy_stats else "without") + "_scipy_stats": _rss_report(
-                        probes[label, mkn, scipy_stats], mkn
-                    )
-                    for scipy_stats in (0, 1)
-                }
-                for mkn in WORKLOAD_SWEEPS
-            }
-            for label in labels
-        }
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -770,6 +770,24 @@ def test_objective_levels_matches_the_scalar_objective_on_profiles(mkns, count, 
         assert closed.tolist() == pytest.approx(scalar, rel=rel, abs=1e-12), mkn
 
 
+@pytest.mark.parametrize("variant, closed_form",
+                         [("hd-dynamic", dmt_1k1), ("hd-static", dmt_static_1k1)])
+def test_engines_lose_precision_in_proportion_to_k_u(variant, closed_form):
+    # the objective's float64 sums carry weights of order k that cancel to an
+    # O(1) d, so the engines' error grows as about 4.5e-16 k u, u = min(m, n)
+    grid = [0.1, 0.3, 0.55, 0.7, 0.9, 0.97]
+    for k in (10**3, 10**6, 10**9):
+        curve = dmt_curve(AntennaConfig(1, k, 1), variant, grid)
+        error = max(abs(point.d - closed_form(k, point.r)) for point in curve.points)
+        assert error <= 2e-15 * k, k
+    grid = [0.1, 0.4, 0.75, 1.0, 1.3, 1.6, 1.9, 1.99]
+    for k in (10**3, 2**21):
+        forward, backward = (dmt_curve(AntennaConfig(*mkn), variant, grid).points
+                             for mkn in ((2, k, 3), (3, k, 2)))
+        gap = max(abs(x.d - y.d) for x, y in zip(forward, backward))
+        assert gap <= 2e-15 * k * 2, k
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dmt_curve_one_point_grid(variant):
     c = AntennaConfig(*_VARIANT_CONFIGS[variant])
